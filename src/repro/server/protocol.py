@@ -18,13 +18,20 @@ GET    /metrics    the full :meth:`QueryService.metrics_snapshot`
 POST   /query      ``{graph, query, parameters?, timeout?}`` → result
 POST   /prepare    ``{graph, query}`` → ``{statement_id, ...}``
 POST   /execute    ``{statement_id, parameters?, timeout?}`` → result
-POST   /shutdown   acknowledges, then stops the listener
+POST   /shutdown   acknowledges, then stops the listener (loopback only)
 ====== =========== ====================================================
 
 Error mapping: saturation → 503, deadline → 504, unknown graph or
-statement → 404, syntax/semantic/lint/binding errors → 400.
+statement → 404, syntax/semantic/lint/binding errors → 400, a body over
+:data:`MAX_BODY_BYTES` → 413, ``/shutdown`` from a non-loopback peer → 403.
+
+Every response leaves in one write on a ``TCP_NODELAY`` socket.  Writing
+the head and the body separately with Nagle's algorithm on holds the body
+back until the client acknowledges the head, and clients delay that ACK
+by about 40 ms — a stall on every request, longer than most queries.
 """
 
+import ipaddress
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -37,6 +44,11 @@ from .registry import UnknownGraphError
 from .service import AdmissionError, ServiceClosedError
 
 
+# every request this protocol defines is a small JSON object; a larger
+# Content-Length is refused (413) before any of the body is read
+MAX_BODY_BYTES = 1 << 20
+
+
 def _json_default(value):
     """Rows may hold GradoopIds and other engine objects; stringify them."""
     return str(value)
@@ -47,6 +59,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
+    # TCP_NODELAY on every accepted socket, so the responses the stdlib
+    # writes itself (send_error from parse_request) do not stall either
+    disable_nagle_algorithm = True
 
     # quiet by default; the smoke test parses stdout for the listen line
     def log_message(self, format, *args):
@@ -64,26 +79,42 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # end_headers() would send the head on its own; the blank line and
+        # the body join the header buffer so the response is one write
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            # the body's end is unknown, so the connection cannot be reused
+            self.close_connection = True
+            raise _RequestRefused("invalid Content-Length: %r" % declared)
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise _RequestRefused(
+                "request body of %d bytes exceeds the limit of %d bytes"
+                % (length, MAX_BODY_BYTES),
+                status=413,
+            )
+        if length == 0:
             return {}
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise _BadRequest("invalid JSON body: %s" % error)
+            raise _RequestRefused("invalid JSON body: %s" % error)
         if not isinstance(payload, dict):
-            raise _BadRequest("request body must be a JSON object")
+            raise _RequestRefused("request body must be a JSON object")
         return payload
 
     def _require(self, payload, *keys):
         missing = [key for key in keys if key not in payload]
         if missing:
-            raise _BadRequest("missing field(s): %s" % ", ".join(missing))
+            raise _RequestRefused("missing field(s): %s" % ", ".join(missing))
         return [payload[key] for key in keys]
 
     # Routing -----------------------------------------------------------------
@@ -123,6 +154,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 )
                 self._send_json(200, result.to_dict())
             elif self.path == "/shutdown":
+                peer = ipaddress.ip_address(self.client_address[0])
+                if not peer.is_loopback:
+                    raise _RequestRefused(
+                        "/shutdown is only accepted from a loopback address",
+                        status=403,
+                    )
                 self._send_json(200, {"status": "shutting down"})
                 # shutdown() must not run on the handler thread: it joins
                 # the serve loop, which is waiting on this very request
@@ -133,8 +170,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(404, {
                     "error": "no such route: %s" % self.path
                 })
-        except _BadRequest as error:
-            self._send_json(400, {"error": str(error)})
+        except _RequestRefused as error:
+            self._send_json(error.status, {"error": str(error)})
         except (QueryLintError, CypherError, ValueError, TypeError) as error:
             self._send_json(400, {
                 "error": str(error), "kind": type(error).__name__,
@@ -155,8 +192,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             })
 
 
-class _BadRequest(ValueError):
-    pass
+class _RequestRefused(ValueError):
+    """A request the handler refuses itself, answered with ``status``."""
+
+    def __init__(self, message, status=400):
+        super().__init__(message)
+        self.status = status
 
 
 class QueryHTTPServer(ThreadingHTTPServer):
