@@ -1,6 +1,6 @@
 .PHONY: install test check flowcheck livecheck lint typecheck racecheck \
-	wirecheck bench bench-micro docs-codes examples reports clean \
-	serve-smoke bench-serve
+	bench bench-micro docs-codes examples reports clean serve-smoke \
+	bench-serve
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -54,15 +54,6 @@ racecheck:
 	REPRO_LOCK_WITNESS=1 pytest tests/server tests/analysis/test_witness.py
 	pytest -m stress tests/
 
-# the wire-protocol battery: vocabulary drift between the pool and the
-# worker runtime (W501-W505), exhaustive model checking of the
-# cancel/done, spec-cache, ring and resident-eviction protocols
-# (W506-W508), then the planted-defect fixtures and trace conformance
-wirecheck:
-	python -m repro wirecheck --verbose
-	pytest tests/analysis/test_protocol.py tests/analysis/test_model.py \
-		tests/analysis/test_wire_models.py
-
 bench:
 	pytest benchmarks/ --benchmark-only
 
@@ -95,5 +86,5 @@ reports: bench
 	@echo "reports in benchmarks/_reports/"
 
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info benchmarks/_reports .pytest_cache
+	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -8,10 +8,7 @@ different bindings, metrics — and finally POSTs ``/shutdown`` and asserts
 the process exits cleanly with status 0.
 
 Run directly (``python scripts/serve_smoke.py``) or via ``make
-serve-smoke``.  Any extra command-line arguments are forwarded to the
-``repro serve`` invocation (``python scripts/serve_smoke.py --workers
-2`` exercises the multi-process pool).  Exits non-zero on the first
-failed assertion.
+serve-smoke``.  Exits non-zero on the first failed assertion.
 """
 
 import json
@@ -70,16 +67,10 @@ def main():
 
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        # extra CLI args (e.g. --workers 2) pass straight through to serve
-        extra_args = sys.argv[1:]
-        print(
-            "starting: python -m repro serve %s --port 0 %s"
-            % (graph_dir, " ".join(extra_args))
-        )
+        print("starting: python -m repro serve %s --port 0" % graph_dir)
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", graph_dir,
-             "--name", "smoke", "--port", "0", "--max-concurrency", "2"]
-            + extra_args,
+             "--name", "smoke", "--port", "0", "--max-concurrency", "2"],
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env=env,

@@ -33,13 +33,6 @@ Four layers over the Cypher pipeline:
   (C3xx, ``repro racecheck``), the runtime lock-order witness and the
   deterministic interleaving fuzzer.  Imported lazily by tooling — not
   re-exported here, so importing :mod:`repro.analysis` stays cheap.
-* :mod:`repro.analysis.protocol` / :mod:`repro.analysis.model` /
-  :mod:`repro.analysis.wire_models` — the wire-protocol verifier for
-  the multi-process worker runtime (W5xx, ``repro wirecheck``):
-  AST-level schema extraction diffed against the declared pipe
-  vocabulary, plus an explicit-state model checker exhaustively
-  exploring the cancel/done, spec-cache, ring and resident-eviction
-  protocols.  Lazily imported by tooling, like the concurrency kit.
 
 The invariants tying them together (property-tested): a query that lints
 without errors plans into a tree that verifies cleanly under every

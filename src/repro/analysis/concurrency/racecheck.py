@@ -40,14 +40,6 @@ Checks:
   threading.Lock():`` or a local lock variable): it guards nothing.
 * **C305** — a ``guarded-by`` annotation naming a lock attribute the
   class never creates.
-* **C306** — blocking cross-process IPC under a lock: ``send``/
-  ``recv``/``poll`` on a receiver that names a pipe connection
-  (``conn``, ``*_conn``, ``pipe``).  A pipe send blocks when the OS
-  buffer fills, so a lock held across it is held for as long as the
-  *other process* cares to dawdle — a deadlock ingredient C303's
-  in-process list cannot see.  More specific than C303, reported
-  instead of it.  The worker pool's leaf-lock channel sends are the
-  sanctioned exception, annotated ``# racecheck: ignore[C306]``.
 
 The runtime complement is :mod:`repro.locks` (the lock-order witness)
 and :mod:`repro.analysis.concurrency.fuzzer` (seeded interleaving
@@ -91,11 +83,6 @@ BLOCKING_CALLS = frozenset({
 #: method names that block regardless of the receiver
 ALWAYS_BLOCKING_METHODS = frozenset({
     "serve_forever", "accept", "recv", "sendall",
-})
-
-#: Connection methods that perform (potentially blocking) pipe IPC
-IPC_METHODS = frozenset({
-    "send", "recv", "send_bytes", "recv_bytes", "poll",
 })
 
 #: method names that block on receivers of these constructor types
@@ -841,18 +828,6 @@ class _FunctionWalker:
                     self._expand_callee(target, func.attr, held, node.lineno)
         if not self._holding_anything(held):
             return
-        # C306 first: pipe IPC is the more specific finding, and .recv()
-        # would otherwise double-report through C303's always-blocking set
-        ipc = self._ipc_reason(node)
-        if ipc is not None:
-            names = ", ".join(sorted(
-                node for node in self._held_nodes(held)
-            )) or "a lock"
-            self.checker._emit(
-                "C306", self.module, node.lineno,
-                "%s while holding %s" % (ipc, names),
-            )
-            return
         blocked = self._blocking_reason(node)
         if blocked is not None:
             names = ", ".join(sorted(
@@ -876,30 +851,6 @@ class _FunctionWalker:
                     self.checker._record_edge(
                         source, target, self.module, lineno
                     )
-
-    def _ipc_reason(self, call):
-        """C306: pipe IPC on a Connection-named receiver.
-
-        Purely lexical — a receiver whose terminal name mentions
-        ``conn`` or ``pipe`` calling a Connection method.  Sockets and
-        queues keep flowing into C303's machinery.
-        """
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return None
-        if func.attr not in IPC_METHODS:
-            return None
-        receiver = func.value
-        if isinstance(receiver, ast.Name):
-            name = receiver.id
-        elif isinstance(receiver, ast.Attribute):
-            name = receiver.attr
-        else:
-            return None
-        lowered = name.lower()
-        if "conn" not in lowered and "pipe" not in lowered:
-            return None
-        return "blocking pipe IPC %s.%s()" % (name, func.attr)
 
     def _blocking_reason(self, call):
         dotted = _dotted_name(call.func, self.module.aliases)

@@ -34,21 +34,7 @@ Code ranges:
   closure introspection plus AST analysis over every callable installed
   into dataflow operators and fused chain templates, classifying it as
   process-shippable or not.  These point at Python callables
-  (``module.qualname`` in the message) — the gate a chain must pass
-  before multi-process execution may ship it to a worker.
-* ``W5xx`` — wire-protocol findings (``repro wirecheck``,
-  :mod:`repro.analysis.protocol` / :mod:`repro.analysis.model`): the
-  parent↔worker message contract of the multi-process runtime, proven
-  two ways.  ``W501``–``W505`` and ``W509`` come from the static
-  wire-schema drift check (AST extraction of every message constructor,
-  handler arm and record-batch format constant in
-  :mod:`repro.dataflow.workers`, diffed against the declared
-  :data:`~repro.dataflow.workers.messages.PIPES` /
-  :data:`~repro.dataflow.workers.messages.FRAMES` vocabulary); ``W506``–
-  ``W508`` come from the explicit-state model checker exhaustively
-  exploring the interleavings of the cancel/done, spec-cache LRU,
-  SPSC-ring and resident-eviction protocols.  These point at Python
-  source or at a counterexample message trace, never at query text.
+  (``module.qualname`` in the message).
 * ``S4xx`` — liveness and cost-bound findings (``repro livecheck``,
   :mod:`repro.analysis.liveness` / :mod:`repro.analysis.costbound`):
   the backward dual of the ``S3xx`` flow pass.  Demand propagates from
@@ -153,9 +139,6 @@ CODES = {
     "C305": (Severity.WARNING, "unknown-guard",
              "guarded-by annotation names a lock attribute the class does "
              "not define"),
-    "C306": (Severity.ERROR, "blocking-ipc-under-lock",
-             "pipe send/recv or ring wait performed while holding a "
-             "pool-hierarchy lock"),
     "S301": (Severity.ERROR, "layout-width-mismatch",
              "derived column count (merge width arithmetic) disagrees with "
              "the operator's declared metadata"),
@@ -213,35 +196,6 @@ CODES = {
     "S406": (Severity.ERROR, "bound-soundness-violation",
              "an observed operator cardinality exceeds its statically "
              "proven upper bound — the bound derivation is unsound"),
-    "W501": (Severity.ERROR, "wire-tag-unhandled",
-             "a message tag is sent on a pipe whose receiving side has "
-             "no handler arm for it — the message would be silently "
-             "dropped or crash the receiver"),
-    "W502": (Severity.WARNING, "wire-tag-never-sent",
-             "a handler arm matches a message tag no production sender "
-             "ever constructs — dead protocol surface that hides drift"),
-    "W503": (Severity.ERROR, "wire-arity-mismatch",
-             "a send site or handler arm disagrees with the declared "
-             "field count of its message tag"),
-    "W504": (Severity.ERROR, "wire-unshippable-payload",
-             "a message payload field fails the P4xx picklability "
-             "analysis — it cannot cross the process boundary"),
-    "W505": (Severity.ERROR, "wire-constant-drift",
-             "a wire-contract constant is defined locally on one side "
-             "of the pipe instead of imported from the shared module"),
-    "W506": (Severity.ERROR, "protocol-deadlock",
-             "the model checker reached a non-final state where no "
-             "transition is enabled — the protocol can wedge"),
-    "W507": (Severity.ERROR, "protocol-lost-message",
-             "a reachable interleaving drops a message (bounded channel "
-             "overflow or discard on an unmatched tag)"),
-    "W508": (Severity.ERROR, "protocol-invariant-violation",
-             "a reachable protocol state violates a declared safety "
-             "invariant (cache desync, stale cancel mark, ring overlap)"),
-    "W509": (Severity.ERROR, "wire-frame-drift",
-             "a record-batch FORMAT_* constant disagrees with the "
-             "declared frame table (messages.FRAMES) — undeclared, "
-             "missing, or with a drifted tag byte"),
 }
 
 #: Codes the runner refuses to execute: the compiler would reject these

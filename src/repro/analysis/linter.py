@@ -173,8 +173,8 @@ class QueryLinter:
         referenced = []
         for item in returns.items:
             self._expression_references(item.expression, referenced)
-        for order in returns.order_by:
-            self._expression_references(order.expression, referenced)
+        for expression in returns.order_expressions():
+            self._expression_references(expression, referenced)
         reported = set()
         for name, span in referenced:
             if name not in known and name not in reported:

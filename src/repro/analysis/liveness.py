@@ -226,7 +226,7 @@ class _LivenessAnalyzer:
         }
         demand = Demand()
         expressions = [item.expression for item in returns.items]
-        expressions += [order.expression for order in returns.order_by]
+        expressions += returns.order_expressions()
         for expression in expressions:
             if isinstance(expression, FunctionCall):
                 expression = expression.argument

@@ -1,9 +1,8 @@
 """UDF shippability analyzer (``P4xx``).
 
-The ROADMAP's top open item — sharded multi-process execution of the
-paper's Fig. 3/4 worker-scaling runs — requires shipping the callables
-installed into dataflow operators (and compiled into fused chain
-templates) to worker processes.  Shipping is cloudpickle-style: the
+Running the callables installed into dataflow operators (and compiled
+into fused chain templates) on a real cluster, as Flink does, means
+shipping them to worker processes.  Shipping is cloudpickle-style: the
 function's code object plus its captured cells travel, so the question is
 not "does the function pickle?" but "does everything it *closes over*
 survive the trip, and does its behaviour stay equal across processes?".
@@ -28,10 +27,7 @@ state and calls to process-dependent functions.  Findings:
 * ``P405`` — a captured non-callable value that does not pickle.
 
 A chain whose every stage UDF is finding-free is *certified shippable*;
-:func:`certify_chain` (invoked from the fusion planner under
-``certify=True``) raises :class:`ShippabilityError` otherwise, so an
-unshippable closure is rejected at fusion compile time — before any
-worker would receive it.
+:func:`certify_chain` raises :class:`ShippabilityError` otherwise.
 """
 
 import ast
@@ -494,8 +490,6 @@ def analyze_chain(chain):
 def certify_chain(chain):
     """Certify a fused chain shippable; raises :class:`ShippabilityError`.
 
-    Called by the fusion planner under ``certify=True`` so an unshippable
-    closure is rejected at fusion compile time, before any execution.
     Returns the (clean) report on success.
     """
     report = analyze_chain(chain)

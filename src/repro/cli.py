@@ -35,13 +35,9 @@ from repro.ldbc import LDBCGenerator
 
 def _environment(args):
     model = ClusterCostModel(workers=args.workers)
-    # --workers on a subcommand (dest process_workers) means real OS
-    # worker processes; the global --workers stays the *simulated*
-    # cluster size fed to the cost model
     return ExecutionEnvironment(
         cost_model=model,
         batch_size=getattr(args, "batch_size", None),
-        workers=getattr(args, "process_workers", None),
         columnar=getattr(args, "columnar", False),
     )
 
@@ -248,58 +244,6 @@ def cmd_racecheck(args):
     if report.errors:
         return 1
     return 3 if report.warnings else 0
-
-
-def cmd_wirecheck(args):
-    """Wire-protocol verification for the worker runtime (W5xx).
-
-    Layer 1 diffs the message constructors and handler arms extracted
-    from the parent/worker sources against the declared pipe
-    vocabulary (:mod:`repro.dataflow.workers.messages`); Layer 2
-    exhaustively model-checks the cancel/done, spec-cache, ring and
-    resident-eviction protocols.  Exit codes match ``repro check``:
-    0 clean, 1 error diagnostics, 2 un-parseable source, 3 warnings
-    only.
-    """
-    from repro.analysis.protocol import wirecheck_paths
-    from repro.analysis.wire_models import check_all
-
-    try:
-        report = wirecheck_paths()
-    except SyntaxError as exc:
-        print("syntax error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    diagnostics = list(report.diagnostics)
-    results = check_all(max_states=args.max_states)
-    for result in results.values():
-        diagnostics.extend(result.diagnostics)
-    for diagnostic in diagnostics:
-        print(diagnostic.format())
-    if args.verbose:
-        print(report.format_vocabulary(), file=sys.stderr)
-        for result in results.values():
-            print(result.format_summary(), file=sys.stderr)
-    bounded = [r.model for r in results.values() if not r.complete]
-    if bounded:
-        print(
-            "warning: state cap hit for model(s) %s — absence of "
-            "findings is not a proof" % ", ".join(bounded),
-            file=sys.stderr,
-        )
-    states = sum(r.states_explored for r in results.values())
-    print(
-        "-- %s; %d model(s), %d state(s) explored"
-        % (report.format_summary(), len(results), states),
-        file=sys.stderr,
-    )
-    errors = sum(1 for d in diagnostics if d.is_error)
-    if errors:
-        return 1
-    # a capped exploration is a warning: nothing found, nothing proven
-    return 3 if len(diagnostics) > errors or bounded else 0
 
 
 def cmd_flowcheck(args):
@@ -658,9 +602,6 @@ def cmd_bench_micro(args):
         write_microbench,
     )
 
-    worker_sweep = args.worker_sweep
-    if worker_sweep is not None and not worker_sweep:
-        worker_sweep = True  # bare --worker-sweep: the default counts
     report = run_microbench(
         queries=tuple(args.queries),
         scale_factor=args.scale_factor,
@@ -668,7 +609,6 @@ def cmd_bench_micro(args):
         workers=args.workers,
         repeats=args.repeats,
         batch_size=args.batch_size,
-        worker_sweep=worker_sweep,
     )
     print(format_microbench(report))
     output = args.output
@@ -768,26 +708,6 @@ def build_parser():
     )
     racecheck.set_defaults(handler=cmd_racecheck)
 
-    wirecheck = commands.add_parser(
-        "wirecheck",
-        help="wire-protocol verification for the worker runtime: diff "
-        "extracted message constructors/handler arms against the "
-        "declared pipe vocabulary (W501-W505) and model-check the "
-        "cancel/done, spec-cache, ring and resident-eviction "
-        "protocols (W506-W508)",
-    )
-    wirecheck.add_argument(
-        "--verbose", action="store_true",
-        help="also print the per-pipe vocabulary coverage table and "
-        "per-model exploration summaries",
-    )
-    wirecheck.add_argument(
-        "--max-states", type=int, default=100000,
-        help="state-space cap per model (absence of findings is not a "
-        "proof once hit)",
-    )
-    wirecheck.set_defaults(handler=cmd_wirecheck)
-
     flowcheck = commands.add_parser(
         "flowcheck",
         help="static layout-flow verification: abstractly interpret the "
@@ -871,16 +791,9 @@ def build_parser():
         "(default: %d)" % DEFAULT_BATCH_SIZE,
     )
     serve.add_argument(
-        "--workers", dest="process_workers", type=int, default=None,
-        metavar="N",
-        help="run certified fused chains and hash joins on N worker "
-        "processes (default: in-process execution); distinct from the "
-        "global --workers, which sets the simulated cluster size",
-    )
-    serve.add_argument(
         "--columnar", action="store_true",
         help="run fused chains over columnar embedding chunks "
-        "(vectorized kernels, zero-copy worker transfer); results, "
+        "(vectorized kernels); results, "
         "metrics and diagnostics are identical to batched execution",
     )
     serve.add_argument(
@@ -941,11 +854,6 @@ def build_parser():
         "--batch-size", type=int, default=None,
         help="chunk length of batched execution "
         "(default: %d)" % DEFAULT_BATCH_SIZE,
-    )
-    bench_micro.add_argument(
-        "--worker-sweep", nargs="*", type=int, default=None, metavar="N",
-        help="also sweep real worker-process counts and record "
-        "wall-clock speedup curves (default counts: 1 2 4 8)",
     )
     bench_micro.add_argument(
         "--output", default=None,

@@ -270,6 +270,22 @@ class ReturnClause:
     def has_aggregates(self):
         return any(isinstance(item.expression, FunctionCall) for item in self.items)
 
+    def order_expressions(self):
+        """ORDER BY expressions that reference MATCH variables.
+
+        A bare name matching a RETURN alias (``RETURN n.v AS v ORDER BY
+        v``) names that output column instead, so it is left out.
+        """
+        aliases = {item.alias for item in self.items if item.alias}
+        return [
+            order.expression
+            for order in self.order_by
+            if not (
+                isinstance(order.expression, VariableRef)
+                and order.expression.name in aliases
+            )
+        ]
+
 
 @dataclass
 class Query:

@@ -33,6 +33,14 @@ from .lexer import tokenize
 _COMPARISON_OPS = {"=", "<>", "<", "<=", ">", ">="}
 _AGGREGATES = {"count", "sum", "min", "max", "avg", "collect"}
 
+#: Deepest expression nesting a query may have.  Two depths are held to
+#: it: the parser's nesting of parentheses, NOTs and list brackets, and
+#: the height of the WHERE clause's AND/OR/XOR/NOT tree (a flat chain of
+#: 100 ORs is 100 high).  Deeper input is a syntax error, raised before
+#: the parser's own descent or any later recursive walk (CNF conversion,
+#: linting, evaluation) can exhaust the Python stack.
+MAX_EXPRESSION_DEPTH = 64
+
 
 def parse(query_text):
     """Parse ``query_text`` into a :class:`~repro.cypher.ast.Query`."""
@@ -43,6 +51,7 @@ class _Parser:
     def __init__(self, tokens):
         self._tokens = tokens
         self._index = 0
+        self._nesting = 0  # open parentheses / NOTs / list brackets
 
     # Token helpers ----------------------------------------------------------
 
@@ -67,6 +76,16 @@ class _Parser:
             return self._advance()
         return None
 
+    def _enter(self):
+        """Open one nesting level; raises past :data:`MAX_EXPRESSION_DEPTH`."""
+        self._nesting += 1
+        if self._nesting > MAX_EXPRESSION_DEPTH:
+            raise CypherSyntaxError(
+                "expression nested deeper than %d levels"
+                % MAX_EXPRESSION_DEPTH,
+                self._current.position,
+            )
+
     def _expect(self, kind, text=None):
         token = self._accept(kind, text)
         if token is None:
@@ -84,8 +103,15 @@ class _Parser:
         while self._accept("symbol", ","):
             patterns.append(self._parse_path_pattern())
         where = None
-        if self._accept("keyword", "WHERE"):
+        where_token = self._accept("keyword", "WHERE")
+        if where_token is not None:
             where = self._parse_expression()
+            if _boolean_depth(where) > MAX_EXPRESSION_DEPTH:
+                raise CypherSyntaxError(
+                    "WHERE expression nested deeper than %d levels"
+                    % MAX_EXPRESSION_DEPTH,
+                    where_token.position,
+                )
         returns = None
         if self._accept("keyword", "RETURN"):
             returns = self._parse_return()
@@ -206,7 +232,10 @@ class _Parser:
 
     def _parse_not(self):
         if self._accept("keyword", "NOT"):
-            return Not(self._parse_not())
+            self._enter()
+            operand = self._parse_not()
+            self._nesting -= 1
+            return Not(operand)
         return self._parse_comparison()
 
     def _parse_comparison(self):
@@ -240,8 +269,10 @@ class _Parser:
 
     def _parse_primary(self):
         if self._accept("symbol", "("):
+            self._enter()
             inner = self._parse_expression()
             self._expect("symbol", ")")
+            self._nesting -= 1
             return inner
         if self._check("ident"):
             span = self._current.span
@@ -301,6 +332,7 @@ class _Parser:
     def _parse_list_literal(self):
         span = self._current.span
         self._expect("symbol", "[")
+        self._enter()
         values = []
         if not self._check("symbol", "]"):
             while True:
@@ -316,6 +348,7 @@ class _Parser:
                 if not self._accept("symbol", ","):
                     break
         self._expect("symbol", "]")
+        self._nesting -= 1
         return Literal(values, span=span)
 
     # RETURN --------------------------------------------------------------------------
@@ -353,3 +386,23 @@ class _Parser:
         if self._accept("keyword", "LIMIT"):
             clause.limit = self._expect("int").value
         return clause
+
+
+def _boolean_depth(expression):
+    """Depth of the AND/OR/XOR/NOT tree above ``expression``'s leaves.
+
+    Iterative, so a left-deep chain of thousands of ORs is measured
+    without recursing once per operand.
+    """
+    deepest = 0
+    stack = [(expression, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, (And, Or, Xor)):
+            stack.append((node.left, depth + 1))
+            stack.append((node.right, depth + 1))
+        elif isinstance(node, Not):
+            stack.append((node.operand, depth + 1))
+        elif depth > deepest:
+            deepest = depth
+    return deepest

@@ -220,7 +220,7 @@ class QueryHandler:
             return
         known = set(self.vertices) | set(self.edges)
         expressions = [] if returns.star else [i.expression for i in returns.items]
-        expressions += [order.expression for order in returns.order_by]
+        expressions += returns.order_expressions()
         for expression in expressions:
             if isinstance(expression, FunctionCall):
                 expression = expression.argument
@@ -259,7 +259,7 @@ class QueryHandler:
         returns = self.ast.returns
         if returns is not None:
             expressions = [item.expression for item in returns.items]
-            expressions += [order.expression for order in returns.order_by]
+            expressions += returns.order_expressions()
             for expression in expressions:
                 if isinstance(expression, FunctionCall):
                     expression = expression.argument

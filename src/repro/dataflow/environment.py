@@ -43,27 +43,10 @@ class ExecutionEnvironment:
             adjacent partition-local operators (map / filter / flat-map)
             are collapsed into compiled batched loops.  Per-call ``fused``
             arguments override it; shared-cache runs are always unfused.
-        certify_fusion: When True, every fused chain is certified
-            process-shippable (zero ``P4xx`` findings) at fusion compile
-            time — :class:`~repro.analysis.udfcheck.ShippabilityError`
-            rejects a chain capturing locks, open handles, shared mutable
-            state or nondeterminism before it would ever reach a worker.
-        workers: Number of **worker processes** (multi-process sharded
-            execution, :mod:`repro.dataflow.workers`).  ``None`` (the
-            default) keeps everything in-process.  Distinct from
-            ``parallelism``: the simulated cluster still has
-            ``parallelism`` partitions; each worker process *owns*
-            ``parallelism / workers`` of them.  Certified-shippable
-            fused chains and hash-join partition pairs execute inside
-            the pool; everything else — and every uncertified chain or
-            sanitized/shared-cache run — transparently stays
-            in-process.  The pool starts lazily on the first fused run
-            and is released by :meth:`shutdown_workers`.
     """
 
     def __init__(self, parallelism=None, cost_model=None, batch_size=None,
-                 fusion=True, certify_fusion=False, workers=None,
-                 columnar=False):
+                 fusion=True, columnar=False):
         if cost_model is None:
             cost_model = ClusterCostModel(workers=parallelism or 4)
         elif parallelism is not None and parallelism != cost_model.workers:
@@ -77,7 +60,6 @@ class ExecutionEnvironment:
         self.cost_model = cost_model  # unsynchronized: immutable after init
         self.batch_size = batch_size  # unsynchronized: immutable after init
         self.fusion = bool(fusion)  # unsynchronized: immutable after init
-        self.certify_fusion = bool(certify_fusion)  # unsynchronized: immutable
         # columnar is a sub-mode of fusion: chunk kernels only run inside
         # fused chains / fused-run shuffles, never per-record
         self.columnar = bool(columnar)  # unsynchronized: immutable after init
@@ -86,37 +68,10 @@ class ExecutionEnvironment:
         # single-threaded callers and reset_metrics touch it
         self.metrics = JobMetrics()  # unsynchronized: job scopes bypass it
         self._scopes = threading.local()  # unsynchronized: thread-local
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1, got %r" % (workers,))
-        self.workers = workers  # unsynchronized: immutable after init
-        from repro.locks import named_lock
-
-        self._pool_lock = named_lock("workers.env")
-        self._worker_pool = None  # guarded-by: _pool_lock
 
     @property
     def parallelism(self):
         return self.cost_model.workers
-
-    # Worker processes -------------------------------------------------------
-
-    def worker_pool(self):
-        """The lazily created worker pool; ``None`` without ``workers=``."""
-        if self.workers is None:
-            return None
-        with self._pool_lock:
-            if self._worker_pool is None:
-                from .workers import WorkerPool
-
-                self._worker_pool = WorkerPool(self.workers)
-            return self._worker_pool
-
-    def shutdown_workers(self):
-        """Stop the worker pool (if any was started); idempotent."""
-        with self._pool_lock:
-            pool, self._worker_pool = self._worker_pool, None
-        if pool is not None:
-            pool.shutdown()
 
     # Job scoping ------------------------------------------------------------
 
@@ -213,12 +168,8 @@ class ExecutionEnvironment:
         if columnar is None:
             columnar = self.columnar
         columnar = bool(columnar) and fused
-        # the worker pool only ever sees fused runs: per-record and
-        # shared-cache execution (sanitized runs, EXPLAIN ANALYZE) stay
-        # in-process by construction
-        pool = self.worker_pool() if fused else None
         ctx = ExecutionContext(self, metrics, cancellation=cancellation,
-                               fused=fused, pool=pool, columnar=columnar)
+                               fused=fused, columnar=columnar)
         return self._evaluate(operator, {} if cache is None else cache, ctx)
 
     def _evaluate(self, operator, cache, ctx):
@@ -231,8 +182,7 @@ class ExecutionEnvironment:
             from .fusion import plan_fusion
 
             rewrites = plan_fusion(
-                operator, ctx.batch_size, materialized=cache,
-                certify=self.certify_fusion,
+                operator, ctx.batch_size, materialized=cache
             ) or None
             if rewrites is not None:
                 operator = rewrites.get(operator.id, operator)

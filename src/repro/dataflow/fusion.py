@@ -174,9 +174,6 @@ class FusedChainOperator(Operator):
 
     def execute(self, ctx, parent_partition_sets):
         (partitions,) = parent_partition_sets
-        pool = getattr(ctx, "pool", None)
-        if pool is not None and pool.chain_shippable(self):
-            return self._execute_pooled(ctx, pool, partitions)
         token = ctx.cancellation
         batch = self.batch_size
         chunk_fn = self._chunk
@@ -214,7 +211,7 @@ class FusedChainOperator(Operator):
                 totals = tuple(a + b for a, b in zip(totals, counts))
             out.append(produced)
             worker_counts.append(totals)
-        self._record_stage_runs(ctx, partitions, worker_counts, out)
+        self._record_stage_runs(ctx, partitions, worker_counts)
         return out
 
     def _execute_columnar(self, token, partition, zeros):
@@ -302,33 +299,6 @@ class FusedChainOperator(Operator):
                 produced.append(current)
         return _columnar_partition_cls(produced), tuple(totals)
 
-    def _execute_pooled(self, ctx, pool, partitions):
-        """Ship the chain's partitions to the worker-process pool.
-
-        The pool runs the *same* compiled chunk template over the same
-        chunking and returns per-partition records plus the per-stage
-        counter totals, so the metrics recorded below are bit-identical
-        to in-process execution.  A worker-side failure arrives as the
-        same stage-attributed :class:`JobExecutionError` the in-process
-        replay would raise; cancellation is polled between chunks inside
-        the worker and re-raised here through the run's token.  When the
-        chain reads directly from an immutable source, its partitions
-        stay resident in the owning workers across executions.
-        """
-        from .operators import SourceOperator
-
-        parent = self.parents[0]
-        source_key = parent.id if type(parent) is SourceOperator else None
-        columnar = getattr(ctx, "columnar", False) and (
-            self._chunk_capable or self._leaf_capable
-        )
-        out, worker_counts = pool.run_chain(
-            self, partitions, ctx.cancellation, source_key=source_key,
-            columnar=columnar,
-        )
-        self._record_stage_runs(ctx, partitions, worker_counts, out)
-        return out
-
     def _replay_chunk(self, chunk, original):
         """Reproduce a chunk failure with per-record error attribution.
 
@@ -358,7 +328,7 @@ class FusedChainOperator(Operator):
         # back to attributing the original error to the whole chain
         raise JobExecutionError(self.name, original) from original
 
-    def _record_stage_runs(self, ctx, partitions, worker_counts, out):
+    def _record_stage_runs(self, ctx, partitions, worker_counts):
         """Emit one OperatorRun per stage, matching per-record execution."""
         worker_in = [len(partition) for partition in partitions]
         counter = 0
@@ -372,7 +342,7 @@ class FusedChainOperator(Operator):
             worker_in = worker_out
 
 
-def plan_fusion(root, batch_size: int, materialized=(), certify: bool = False) -> Dict[int, "FusedChainOperator"]:
+def plan_fusion(root, batch_size: int, materialized=()) -> Dict[int, "FusedChainOperator"]:
     """The fusion pass: chains reachable from ``root`` → fused operators.
 
     Walks the DAG exactly like the evaluator (never descending into nodes
@@ -383,12 +353,6 @@ def plan_fusion(root, batch_size: int, materialized=(), certify: bool = False) -
     per-record ``_call`` wrapping.  The original operators are untouched;
     the evaluator resolves nodes through the rewrite map per run, so plan
     caching, ``reset()`` and unfused re-execution keep working.
-
-    ``certify=True`` runs the ``P4xx`` UDF shippability analyzer over
-    every chain before returning and raises
-    :class:`~repro.analysis.udfcheck.ShippabilityError` on the first
-    unshippable one — the gate multi-process execution puts in front of
-    shipping a compiled chain to a worker.
     """
     materialized = set(materialized)
     if root.id in materialized:
@@ -436,11 +400,4 @@ def plan_fusion(root, batch_size: int, materialized=(), certify: bool = False) -
         rewrites[op_id] = FusedChainOperator(
             op.environment, chain[0].parents[0], chain, batch_size
         )
-    if certify and rewrites:
-        # imported lazily: the analyzer is pure stdlib + diagnostics, but
-        # fusion must stay importable without the analysis package
-        from repro.analysis.udfcheck import certify_chain
-
-        for fused in rewrites.values():
-            certify_chain(fused)
     return rewrites

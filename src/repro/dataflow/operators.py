@@ -50,7 +50,7 @@ class ExecutionContext:
     """Per-run services handed to operators: shuffling, metrics, memory."""
 
     def __init__(self, environment, metrics, iteration=None, cancellation=None,
-                 fused=False, batch_size=None, pool=None, columnar=False):
+                 fused=False, batch_size=None, columnar=False):
         self._environment = environment
         self._metrics = metrics
         self.iteration = iteration
@@ -66,12 +66,6 @@ class ExecutionContext:
         #: batches and joins/shuffles split chunks by slicing columns;
         #: operators without kernels fall back per-record transparently
         self.columnar = columnar
-        #: :class:`~repro.dataflow.workers.WorkerPool` or None.  Set only
-        #: on fused runs of a ``workers=N`` environment; operators with a
-        #: shippable task shape (fused chains, hash-join partition pairs)
-        #: offload to it and fall back in-process when it is None or the
-        #: task fails shippability certification.
-        self.pool = pool
         self.batch_size = (
             batch_size if batch_size is not None
             else getattr(environment, "batch_size", None)
@@ -433,7 +427,6 @@ class BulkIterationOperator(Operator):
                 cancellation=ctx.cancellation,
                 fused=ctx.fused,
                 batch_size=ctx.batch_size,
-                pool=ctx.pool,
                 columnar=ctx.columnar,
             )
             working_ds = environment.from_partitions(
@@ -614,22 +607,6 @@ class JoinOperator(Operator):
         self.chosen_strategy = strategy
 
         stats = ShuffleStats(ctx.parallelism)
-        pool = (
-            ctx.pool if strategy is JoinStrategy.REPARTITION_HASH else None
-        )
-        if pool is not None and pool.join_shippable(self):
-            out, spilled, worker_work = self._pooled_exchange_join(
-                pool, left_parts, right_parts, ctx, stats
-            )
-            ctx.record_run(
-                "%s[%s]" % (self.name, strategy.value),
-                parent_partition_sets,
-                out,
-                shuffle=stats,
-                spilled_workers=spilled,
-                worker_work=worker_work,
-            )
-            return out
         if strategy is JoinStrategy.BROADCAST_FIRST:
             left_local, s = ctx.broadcast(left_parts)
             stats.merge(s)
@@ -659,43 +636,31 @@ class JoinOperator(Operator):
             stats.merge(s1)
             stats.merge(s2)
 
-        pool = (
-            ctx.pool if strategy is not JoinStrategy.SORT_MERGE else None
-        )
-        if pool is not None and pool.join_shippable(self):
-            out, spilled = self._pooled_pairs_join(
-                pool, left_local, right_local, ctx
+        out = []
+        spilled = 0
+        spec = getattr(self.join_fn, "columnar_join", None)
+        for left_partition, right_partition in zip(left_local, right_local):
+            ctx.poll()  # batch boundary: one worker's partition pair
+            build, probe, build_is_left = self._pick_sides(
+                left_partition, right_partition
             )
-        else:
-            out = []
-            spilled = 0
-            spec = getattr(self.join_fn, "columnar_join", None)
-            for left_partition, right_partition in zip(
-                left_local, right_local
-            ):
-                ctx.poll()  # batch boundary: one worker's partition pair
-                build, probe, build_is_left = self._pick_sides(
-                    left_partition, right_partition
+            if len(build) > ctx.memory_records_per_worker:
+                spilled += 1
+            if strategy is JoinStrategy.SORT_MERGE:
+                produced = self._sort_merge(
+                    left_partition, right_partition, ctx
                 )
-                if len(build) > ctx.memory_records_per_worker:
-                    spilled += 1
-                if strategy is JoinStrategy.SORT_MERGE:
-                    produced = self._sort_merge(
-                        left_partition, right_partition, ctx
-                    )
-                elif (
-                    spec is not None
-                    and getattr(build, "chunks", None) is not None
-                    and getattr(probe, "chunks", None) is not None
-                ):
-                    produced = self._columnar_hash_join(
-                        spec, build, probe, build_is_left, ctx
-                    )
-                else:
-                    produced = self._hash_join(
-                        build, probe, build_is_left, ctx
-                    )
-                out.append(produced)
+            elif (
+                spec is not None
+                and getattr(build, "chunks", None) is not None
+                and getattr(probe, "chunks", None) is not None
+            ):
+                produced = self._columnar_hash_join(
+                    spec, build, probe, build_is_left, ctx
+                )
+            else:
+                produced = self._hash_join(build, probe, build_is_left, ctx)
+            out.append(produced)
 
         name = "%s[%s]" % (self.name, strategy.value)
         worker_work = [
@@ -710,72 +675,6 @@ class JoinOperator(Operator):
             worker_work=worker_work,
         )
         return out
-
-    def _pooled_pairs_join(self, pool, left_local, right_local, ctx):
-        """Ship already-co-located hash-join pairs to the worker pool.
-
-        The broadcast strategies replicate the small side in-parent (a
-        list copy), leaving per-partition ``(build, probe)`` pairs the
-        workers execute with the exact ``_hash_join`` loop — results
-        are order-identical and the spill accounting below stays
-        byte-for-byte the same.  Empty pairs never ship — their result
-        is the empty partition.
-        """
-        ctx.poll()  # batch boundary: one poll before the dispatch
-        out = [None] * len(left_local)
-        spilled = 0
-        pairs = []
-        shipped_indexes = []
-        for index, (left_partition, right_partition) in enumerate(
-            zip(left_local, right_local)
-        ):
-            build, probe, build_is_left = self._pick_sides(
-                left_partition, right_partition
-            )
-            if len(build) > ctx.memory_records_per_worker:
-                spilled += 1
-            if not build or not probe:
-                out[index] = []
-                continue
-            pairs.append((build, probe, build_is_left))
-            shipped_indexes.append(index)
-        if pairs:
-            produced = pool.run_join(self, pairs, ctx.cancellation)
-            for index, records in zip(shipped_indexes, produced):
-                out[index] = records
-        return out, spilled
-
-    def _pooled_exchange_join(self, pool, left_parts, right_parts, ctx,
-                              stats):
-        """Run the repartition exchange *and* the join on the worker pool.
-
-        The workers hash-partition both inputs by join key — the parent
-        relays only cross-worker splits, as opaque bytes — and join each
-        co-partitioned pair on the worker that owns it.  The returned
-        per-target counts rebuild the exact ShuffleStats, spill and
-        ``worker_work`` accounting the in-process path computes, so the
-        simulated cost model cannot tell the two paths apart.
-        """
-        ctx.poll()  # batch boundary: one poll before the exchange
-        out, moved, left_counts, right_counts = pool.run_repartition_join(
-            self, left_parts, right_parts, ctx.cancellation
-        )
-        moved_records, moved_bytes, bytes_in = moved
-        stats.records += moved_records
-        stats.bytes += moved_bytes
-        for target, size in enumerate(bytes_in):
-            stats.bytes_in[target] += size
-        limit = ctx.memory_records_per_worker
-        spilled = sum(
-            1
-            for left_count, right_count in zip(left_counts, right_counts)
-            if min(left_count, right_count) > limit
-        )
-        worker_work = [
-            left_count + right_count
-            for left_count, right_count in zip(left_counts, right_counts)
-        ]
-        return out, spilled, worker_work
 
     def _pick_sides(self, left_partition, right_partition):
         if len(left_partition) <= len(right_partition):

@@ -60,19 +60,6 @@ def partition_index(key: Any, parallelism: int) -> int:
     return stable_hash(key) % parallelism
 
 
-def assign_partitions(partitions: int, workers: int) -> List[int]:
-    """Static partition → worker-process placement (round-robin).
-
-    The multi-process runtime's "execution graph": every task for
-    partition ``p`` runs on the worker process owning ``p``, so a
-    worker's resident caches keep hitting across queries.  Round-robin
-    keeps ownership balanced for any ``partitions``/``workers`` ratio.
-    """
-    if workers <= 0:
-        raise ValueError("workers must be positive, got %d" % workers)
-    return [index % workers for index in range(partitions)]
-
-
 def round_robin_partitions(items: Iterable[Any], parallelism: int) -> List[List[Any]]:
     """Split ``items`` into ``parallelism`` balanced partitions.
 

@@ -65,7 +65,6 @@ _MASK = (1 << 64) - 1
 _struct_lock = named_lock("engine.columnar")
 _STRUCT_CACHE_LIMIT = 256
 _entry_structs: Dict[int, struct.Struct] = {}  # guarded-by: _struct_lock
-_offset_structs: Dict[int, struct.Struct] = {}  # guarded-by: _struct_lock
 
 
 def entry_struct(n: int) -> struct.Struct:
@@ -77,18 +76,6 @@ def entry_struct(n: int) -> struct.Struct:
         with _struct_lock:
             if len(_entry_structs) < _STRUCT_CACHE_LIMIT:
                 _entry_structs[n] = compiled
-    return compiled
-
-
-def offset_struct(n: int) -> struct.Struct:
-    """The little-endian struct of an ``n``-entry offset table (wire frames)."""
-    with _struct_lock:
-        compiled = _offset_structs.get(n)
-    if compiled is None:
-        compiled = struct.Struct("<%dI" % n)
-        with _struct_lock:
-            if len(_offset_structs) < _STRUCT_CACHE_LIMIT:
-                _offset_structs[n] = compiled
     return compiled
 
 
@@ -622,8 +609,7 @@ def shuffle_split(chunks, key_columns, parallelism, source):
     multi-column keys replicate the tuple accumulator chain exactly, so
     placement matches the per-record shuffle bit for bit.  Byte
     accounting is identical too — per-row serialized sizes, cross-worker
-    moves only.  The in-process :func:`shuffle_kernel` and the worker
-    runtime's repartition shuffle share this one definition.
+    moves only.
     """
     key_columns = tuple(key_columns)
     single = key_columns[0] if len(key_columns) == 1 else None
@@ -804,13 +790,6 @@ class ColumnarJoinSpec:
         self.keep_columns = keep_columns
         self.vertex_columns = vertex_columns
         self.edge_columns = edge_columns
-
-    def __getstate__(self):
-        return tuple(getattr(self, slot) for slot in self.__slots__)
-
-    def __setstate__(self, state):
-        for slot, value in zip(self.__slots__, state):
-            setattr(self, slot, value)
 
     def _build_table(self, build_chunks, build_is_left):
         """Key → list of pre-sliced ``(merge_values, prop_bytes)`` pairs.

@@ -443,7 +443,7 @@ class GreedyPlanner:
         from repro.cypher.ast import FunctionCall, PropertyAccess
 
         expressions = [item.expression for item in returns.items]
-        expressions += [order.expression for order in returns.order_by]
+        expressions += returns.order_expressions()
         keep = []
         for expression in expressions:
             if isinstance(expression, FunctionCall):

@@ -337,11 +337,10 @@ class CypherRunner:
         """Shippability report over every UDF in ``query``'s dataflow.
 
         Builds the compiled plan's dataset DAG (without executing it) and
-        classifies every installed callable with the ``P4xx`` analyzer —
-        the gate the upcoming multi-process execution requires before
-        shipping work to worker processes.  Dataflow nodes are mapped back
-        to the query element that compiled them, so findings carry source
-        spans.
+        classifies every installed callable with the ``P4xx`` analyzer:
+        could it be shipped to a worker process?  Dataflow nodes are
+        mapped back to the query element that compiled them, so findings
+        carry source spans.
         """
         from repro.analysis.udfcheck import analyze_dataflow
 
@@ -538,26 +537,37 @@ class CypherRunner:
         return rows
 
     def _order_rows(self, returns, rows):
-        column_names = None
-        if rows:
-            column_names = set(rows[0])
+        if not rows:
+            return rows
+        columns = rows[0]
+        # ORDER BY may name an aliased RETURN expression by its text
+        aliased = {
+            str(item.expression): item.alias
+            for item in returns.items
+            if item.alias is not None
+        }
+        keys = []
+        for order in returns.order_by:
+            name = str(order.expression)
+            if name not in columns:
+                name = aliased.get(name, name)
+            if name not in columns:
+                raise CypherSemanticError(
+                    "ORDER BY expression %r is not among the returned columns"
+                    % name,
+                    span=getattr(order.expression, "span", None),
+                )
+            keys.append((name, order.descending))
 
         def sort_key(row):
-            key = []
-            for order in returns.order_by:
-                name = str(order.expression)
-                if column_names is not None and name not in column_names:
-                    raise CypherSemanticError(
-                        "ORDER BY expression %r is not among the returned columns"
-                        % name,
-                        span=getattr(order.expression, "span", None),
-                    )
-                value = row[name] if rows else None
-                # None sorts last regardless of direction
-                key.append(
-                    (value is None, _negate_if(value, order.descending))
+            # None sorts last regardless of direction
+            return tuple(
+                (
+                    row[name] is None,
+                    _negate_if(_order_key(row[name]), descending),
                 )
-            return tuple(key)
+                for name, descending in keys
+            )
 
         return sorted(rows, key=sort_key)
 
@@ -656,12 +666,37 @@ def _aggregate(name, argument, values):
     if not present:
         return None
     if name == "min":
-        return min(present)
+        return min(present, key=_order_key)
     if name == "max":
-        return max(present)
+        return max(present, key=_order_key)
     if name == "avg":
         return sum(present) / len(present)
     raise CypherSemanticError("unknown aggregate %r" % name)
+
+
+#: openCypher orderability ranks (Francis et al.): lists < strings <
+#: booleans < numbers < NaN; values outside openCypher's types (Gradoop
+#: ids) follow, and null sorts above everything
+_ORDER_RANK = {list: 0, str: 1, bool: 2, int: 3, float: 3}
+_NAN_RANK = 4
+_OTHER_RANK = 5
+_NULL_RANK = 6
+
+
+def _order_key(value):
+    """Sort key putting values of any type in one openCypher total order.
+
+    Within one type the key orders exactly like the bare values (ints and
+    floats compare numerically), so single-typed columns sort as before.
+    """
+    rank = _ORDER_RANK.get(type(value))
+    if rank is None:
+        return (_NULL_RANK, 0) if value is None else (_OTHER_RANK, value)
+    if rank == 0:
+        return (rank, tuple(_order_key(item) for item in value))
+    if value != value:  # NaN
+        return (_NAN_RANK, 0)
+    return (rank, value)
 
 
 class _Descending:

@@ -52,13 +52,6 @@ DEFAULT_REPEATS = 5
 #: the unfused per-record interpreter.
 MICRO_MODES = ("batched", "columnar", "per-record")
 
-#: worker-process counts swept by :func:`run_worker_sweep`
-DEFAULT_WORKER_SWEEP = (1, 2, 4, 8)
-
-#: dataflow parallelism pinned across the worker sweep: divisible by
-#: every swept worker count, so partition ownership stays balanced
-SWEEP_PARALLELISM = 8
-
 
 def _physical_postorder(root):
     stack = [(root, False)]
@@ -113,139 +106,6 @@ def _timed(environment, runner, query):
     return elapsed, len(embeddings)
 
 
-def _timed_wall(environment, runner, query):
-    """One execution; returns (wall_seconds, result_count).
-
-    The multi-process sweep must time wall clock: worker processes burn
-    their CPU outside the parent, so ``time.process_time`` cannot see
-    the work the pool parallelizes.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with environment.job("bench-micro"):
-            start = time.perf_counter()
-            embeddings, _ = runner.execute_embeddings(query)
-            elapsed = time.perf_counter() - start
-    finally:
-        if was_enabled:
-            gc.enable()
-    gc.collect()
-    return elapsed, len(embeddings)
-
-
-def run_worker_sweep(
-    queries=DEFAULT_QUERIES,
-    scale_factor=DEFAULT_SCALE_FACTOR,
-    seed=42,
-    worker_counts=DEFAULT_WORKER_SWEEP,
-    repeats=3,
-    batch_size=None,
-    selectivity="low",
-):
-    """Wall-clock speedup curves of multi-process sharded execution.
-
-    Every swept point runs the same queries over the same dataset with
-    the dataflow parallelism pinned to :data:`SWEEP_PARALLELISM`, so the
-    partitioning — and therefore the work — is identical and only the
-    process placement changes.  Trials are interleaved across worker
-    counts, one untimed warm-up per count pays process spawn, chain
-    shipping and resident source caching up front, and ``speedup`` maps
-    each query to the per-count wall-clock ratio against the 1-worker
-    pool (both sides pay the same shipping overheads, isolating the
-    parallelism win).
-    """
-    dataset = LDBCGenerator(scale_factor, seed).generate()
-    points = {}
-    for count in worker_counts:
-        environment = ExecutionEnvironment(
-            parallelism=SWEEP_PARALLELISM,
-            batch_size=batch_size,
-            workers=count,
-        )
-        graph = dataset.to_logical_graph(environment)
-        statistics = GraphStatistics.from_graph(graph)
-        points[count] = (
-            environment,
-            CypherRunner(graph, statistics=statistics),
-        )
-
-    cases = []
-    for name in queries:
-        template = ALL_QUERIES[name]
-        first_name = (
-            dataset.first_name(selectivity) if "{firstName}" in template else None
-        )
-        cases.append((name, instantiate(template, first_name)))
-
-    samples = {(name, count): [] for name, _ in cases for count in points}
-    rows = {}
-    try:
-        for trial in range(-1, repeats):  # trial -1 is the untimed warm-up
-            for name, query in cases:
-                for count, (environment, runner) in points.items():
-                    elapsed, result_count = _timed_wall(
-                        environment, runner, query
-                    )
-                    if trial < 0:
-                        rows[name] = result_count
-                    else:
-                        samples[name, count].append(elapsed)
-    finally:
-        for environment, _ in points.values():
-            environment.shutdown_workers()
-
-    results = []
-    for name, _ in cases:
-        for count in worker_counts:
-            data = samples[name, count]
-            results.append(
-                {
-                    "query": name,
-                    "workers": count,
-                    "median_seconds": median(data),
-                    "stddev_seconds": stdev(data) if len(data) > 1 else 0.0,
-                    "min_seconds": min(data),
-                    "rows": rows[name],
-                    "seconds": data,
-                }
-            )
-    baseline_count = worker_counts[0]
-    speedup = {}
-    for name, _ in cases:
-        baseline = median(samples[name, baseline_count])
-        speedup[name] = {
-            str(count): (
-                baseline / median(samples[name, count])
-                if median(samples[name, count])
-                else float("inf")
-            )
-            for count in worker_counts
-        }
-
-    try:
-        usable_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        usable_cpus = os.cpu_count()
-    return {
-        "benchmark": "worker-sweep",
-        "scale_factor": scale_factor,
-        "seed": seed,
-        "parallelism": SWEEP_PARALLELISM,
-        "worker_counts": list(worker_counts),
-        "baseline_workers": baseline_count,
-        "repeats": repeats,
-        "clock": "perf_counter",
-        # wall-clock scaling is bounded above by the CPUs this process
-        # may schedule on: on a single-core host every worker count
-        # time-slices the same core and the curve stays flat
-        "cpu_count": os.cpu_count(),
-        "usable_cpus": usable_cpus,
-        "results": results,
-        "speedup": speedup,
-    }
-
-
 def run_microbench(
     queries=DEFAULT_QUERIES,
     scale_factor=DEFAULT_SCALE_FACTOR,
@@ -254,7 +114,6 @@ def run_microbench(
     repeats=DEFAULT_REPEATS,
     batch_size=None,
     selectivity="low",
-    worker_sweep=None,
 ):
     """Time each query under batched, columnar, and per-record execution.
 
@@ -267,11 +126,6 @@ def run_microbench(
     ratio; ``columnar_speedup`` maps each query to the batched /
     columnar median ratio — the win of running the same fused chains
     over columnar chunks instead of embedding lists.
-
-    ``worker_sweep`` (a sequence of worker-process counts, or ``True``
-    for :data:`DEFAULT_WORKER_SWEEP`) additionally runs
-    :func:`run_worker_sweep` and attaches its wall-clock speedup curves
-    under ``worker_sweep`` in the report.
     """
     dataset = LDBCGenerator(scale_factor, seed).generate()
     modes = {}
@@ -374,21 +228,6 @@ def run_microbench(
         "columnar_speedup": columnar_speedup,
         "embedding_bytes": embedding_bytes,
     }
-    if worker_sweep:
-        counts = (
-            DEFAULT_WORKER_SWEEP
-            if worker_sweep is True
-            else tuple(worker_sweep)
-        )
-        report["worker_sweep"] = run_worker_sweep(
-            queries=queries,
-            scale_factor=scale_factor,
-            seed=seed,
-            worker_counts=counts,
-            repeats=repeats,
-            batch_size=batch_size,
-            selectivity=selectivity,
-        )
     return report
 
 
@@ -444,27 +283,6 @@ def format_microbench(report):
                 record["reduction_percent"],
             )
         )
-    sweep = report.get("worker_sweep")
-    if sweep:
-        lines.append(
-            "worker sweep: SF %s, parallelism %d, %s clock"
-            % (sweep["scale_factor"], sweep["parallelism"], sweep["clock"])
-        )
-        lines.append(
-            "%-6s %8s %12s %12s %10s"
-            % ("query", "workers", "median [s]", "min [s]", "speedup")
-        )
-        for record in sweep["results"]:
-            lines.append(
-                "%-6s %8d %12.4f %12.4f %9.2fx"
-                % (
-                    record["query"],
-                    record["workers"],
-                    record["median_seconds"],
-                    record["min_seconds"],
-                    sweep["speedup"][record["query"]][str(record["workers"])],
-                )
-            )
     return "\n".join(lines)
 
 

@@ -446,15 +446,6 @@ class QueryService:
                 return
             self._closed = True
         self._executor.shutdown(wait=wait)
-        # worker-process pools of the served graphs outlive individual
-        # queries; tear them down with the service so ``serve`` exits
-        # without leaking processes or shared-memory segments
-        for name in self.registry.names():
-            try:
-                entry = self.registry.get(name)
-            except Exception:  # racing remove(); nothing left to stop
-                continue
-            entry.graph.environment.shutdown_workers()
 
     def __enter__(self):
         return self

@@ -19,18 +19,17 @@ class TestRegistry:
         assert len(CODES) >= 8
 
     def test_code_prefix_matches_severity(self):
-        # E = static errors, W1-W4xx = static warnings; sanitizer/flow
-        # (S), concurrency (C), shippability (P) and wire-protocol
-        # (W5xx, W for "wire") codes carry either severity — structural
-        # corruption / lock misuse / protocol drift is an error,
+        # E = static errors, W = static warnings; sanitizer/flow (S),
+        # concurrency (C) and shippability (P) codes carry either
+        # severity — structural corruption / lock misuse is an error,
         # estimate drift or an unprovable operator only a warning.
         for code, (severity, _slug, _summary) in CODES.items():
             if code.startswith("E"):
                 assert severity is Severity.ERROR, code
-            elif code.startswith("W") and code < "W500":
+            elif code.startswith("W"):
                 assert severity is Severity.WARNING, code
             else:
-                assert code.startswith(("S", "C", "P", "W5")), code
+                assert code.startswith(("S", "C", "P")), code
                 assert severity in (Severity.ERROR, Severity.WARNING), code
 
     def test_concurrency_codes_registered(self):
@@ -38,15 +37,6 @@ class TestRegistry:
         for code in ("C301", "C302", "C303", "C304"):
             assert CODES[code][0] is Severity.ERROR, code
         assert CODES["C305"][0] is Severity.WARNING
-
-    def test_wire_protocol_codes_registered(self):
-        # the W5xx range the wire-protocol verifier/model checker emits
-        for code in ("W501", "W503", "W504", "W505",
-                     "W506", "W507", "W508"):
-            assert CODES[code][0] is Severity.ERROR, code
-        # handled-but-never-sent is dead code, not corruption
-        assert CODES["W502"][0] is Severity.WARNING
-        assert CODES["C306"][0] is Severity.ERROR
 
     def test_sanitizer_codes_registered(self):
         # the full S2xx range the sanitizer/differential/audit layer emits

@@ -330,6 +330,37 @@ def test_c303_sleep_outside_lock_clean():
     assert codes(report) == []
 
 
+def test_c303_socket_recv_under_lock():
+    report = check("""
+        import threading
+
+        class Server:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.sock = connect()
+
+            def pull(self):
+                with self.lock:
+                    return self.sock.recv(4096)
+    """)
+    assert codes(report) == ["C303"]
+
+
+def test_c303_pipe_recv_under_lock():
+    report = check("""
+        import threading
+
+        class Pool:
+            def __init__(self):
+                self.lock = threading.Lock()
+
+            def drain(self, conn):
+                with self.lock:
+                    return conn.recv()
+    """)
+    assert codes(report) == ["C303"]
+
+
 # C304: per-call locks ---------------------------------------------------------
 
 def test_c304_inline_with_lock():
@@ -380,84 +411,6 @@ def test_c305_unknown_guard_warning():
     """)
     assert codes(report) == ["C305"]
     assert report.diagnostics[0].severity.value == "warning"
-
-
-# C306: blocking pipe IPC under a lock -----------------------------------------
-
-def test_c306_pipe_send_under_lock():
-    report = check("""
-        import threading
-
-        class Pool:
-            def __init__(self):
-                self.lock = threading.Lock()
-                self.req_conn = make_pipe()
-
-            def dispatch(self, batch):
-                with self.lock:
-                    self.req_conn.send(batch)
-    """)
-    assert codes(report) == ["C306"]
-    assert "blocking pipe IPC req_conn.send()" in (
-        report.diagnostics[0].message
-    )
-
-
-def test_c306_conn_recv_preferred_over_c303():
-    """``.recv()`` on a connection is the specific C306, not C303."""
-    report = check("""
-        import threading
-
-        class Pool:
-            def __init__(self):
-                self.lock = threading.Lock()
-
-            def drain(self, conn):
-                with self.lock:
-                    return conn.recv()
-    """)
-    assert codes(report) == ["C306"]
-
-
-def test_c306_socket_recv_still_c303():
-    report = check("""
-        import threading
-
-        class Server:
-            def __init__(self):
-                self.lock = threading.Lock()
-                self.sock = connect()
-
-            def pull(self):
-                with self.lock:
-                    return self.sock.recv(4096)
-    """)
-    assert codes(report) == ["C303"]
-
-
-def test_c306_annotated_leaf_lock_send_suppressed():
-    report = check("""
-        import threading
-
-        class Pool:
-            def __init__(self):
-                self.lock = threading.Lock()
-                self.req_conn = make_pipe()
-
-            def dispatch(self, batch):
-                with self.lock:
-                    self.req_conn.send(batch)  # racecheck: ignore[C306]
-    """)
-    assert codes(report) == []
-
-
-def test_c306_send_outside_lock_clean():
-    report = check("""
-        class Pool:
-            def dispatch(self, conn, batch):
-                conn.send(batch)
-    """)
-    assert codes(report) == []
 
 
 # Integration: the real tree and the planted race ------------------------------

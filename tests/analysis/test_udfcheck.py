@@ -1,11 +1,10 @@
-"""UDF shippability analyzer: planted captures and fused-chain gating.
+"""UDF shippability analyzer: planted captures and fused-chain certification.
 
 Each ``P4xx`` code gets a closure planting exactly the capture it exists
 to refuse — a lock, an open handle, mutated shared state, a clock, an
-unpicklable value — and the fusion gate is exercised end-to-end: an
-``ExecutionEnvironment(certify_fusion=True)`` rejects an unshippable
-chain at fusion *compile* time, while every fused chain of LDBC Q1–Q6
-certifies clean.
+unpicklable value — and chain certification is exercised on the fusion
+pass's output: :func:`certify_chain` rejects an unshippable fused chain,
+while every fused chain of LDBC Q1–Q6 certifies clean.
 """
 
 import functools
@@ -20,6 +19,7 @@ from repro.analysis import (
     ShippabilityError,
     analyze_chain,
     analyze_dataflow,
+    certify_chain,
     classify_callable,
     iter_dataflow_udfs,
 )
@@ -186,18 +186,17 @@ class TestFusionCertification:
             .map(_double)
             .filter(lambda x: x % 4 == 0)
         )
-        rewrites = plan_fusion(
-            dataset.operator, DEFAULT_BATCH_SIZE, certify=True
-        )
+        rewrites = plan_fusion(dataset.operator, DEFAULT_BATCH_SIZE)
         assert rewrites
         for chain in rewrites.values():
             assert analyze_chain(chain).shippable
 
     def test_unshippable_chain_rejected_at_fusion_compile_time(self):
-        env = ExecutionEnvironment(parallelism=2, certify_fusion=True)
+        env = ExecutionEnvironment(parallelism=2)
         dataset = env.from_collection(range(8)).map(_locked_stage)
+        (chain,) = plan_fusion(dataset.operator, DEFAULT_BATCH_SIZE).values()
         with pytest.raises(ShippabilityError) as excinfo:
-            dataset.collect()
+            certify_chain(chain)
         assert any(d.code == "P401" for d in excinfo.value.diagnostics)
         assert "fused[" in str(excinfo.value)
 
@@ -205,16 +204,6 @@ class TestFusionCertification:
         env = ExecutionEnvironment(parallelism=2)
         collected = env.from_collection(range(4)).map(_locked_stage).collect()
         assert sorted(collected) == [0, 1, 2, 3]
-
-    def test_certified_environment_executes_clean_plans(self):
-        head_env = ExecutionEnvironment(parallelism=2, certify_fusion=True)
-        result = (
-            head_env.from_collection(range(10))
-            .map(_double)
-            .filter(lambda x: x >= 10)
-            .collect()
-        )
-        assert sorted(result) == [10, 12, 14, 16, 18]
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +223,7 @@ class TestLDBCAcceptance:
         runner = CypherRunner(graph)
         _, root = runner.compile(query)
         operator = root.evaluate().operator
-        rewrites = plan_fusion(operator, DEFAULT_BATCH_SIZE, certify=True)
+        rewrites = plan_fusion(operator, DEFAULT_BATCH_SIZE)
         assert rewrites, "%s produced no fusable chains" % name
         for chain in rewrites.values():
             report = analyze_chain(chain)

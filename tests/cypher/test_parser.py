@@ -15,6 +15,7 @@ from repro.cypher import (
     Xor,
     parse,
 )
+from repro.cypher.parser import MAX_EXPRESSION_DEPTH
 
 
 class TestNodePatterns:
@@ -237,3 +238,45 @@ class TestErrors:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(CypherSyntaxError):
             parse("MATCH (a) RETURN * garbage")
+
+
+class TestNestingLimit:
+    """Over-deep input is a syntax error, never a RecursionError."""
+
+    def _or_chain(self, operators):
+        return "MATCH (a) WHERE " + " OR ".join(
+            "a.x = %d" % i for i in range(operators + 1)
+        )
+
+    def test_chain_at_the_limit_parses(self):
+        where = parse(self._or_chain(MAX_EXPRESSION_DEPTH)).where
+        assert isinstance(where, Or)
+
+    def test_chain_past_the_limit_rejected(self):
+        with pytest.raises(CypherSyntaxError, match="nested deeper"):
+            parse(self._or_chain(MAX_EXPRESSION_DEPTH + 1))
+
+    def test_thousand_term_or_rejected(self):
+        with pytest.raises(CypherSyntaxError, match="nested deeper"):
+            parse(self._or_chain(999))
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "(" * 3000 + "a.x = 1" + ")" * 3000,
+            "NOT " * 3000 + "a.x = 1",
+            "a.x IN " + "[" * 3000 + "]" * 3000,
+        ],
+        ids=["parentheses", "not", "list"],
+    )
+    def test_deep_nesting_rejected(self, where):
+        with pytest.raises(CypherSyntaxError, match="nested deeper"):
+            parse("MATCH (a) WHERE " + where)
+
+    def test_parentheses_at_the_limit_parse(self):
+        depth = MAX_EXPRESSION_DEPTH
+        where = parse(
+            "MATCH (a) WHERE " + "(" * depth + "a.x = 1" + ")" * depth
+        ).where
+        assert where == Comparison("=", PropertyAccess("a", "x"), Literal(1))
+

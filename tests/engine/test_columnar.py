@@ -10,8 +10,7 @@ empty property maps, null values); model-based tests pin shuffle
 placement and byte accounting against the per-record
 ``stable_hash`` loop; a differential suite pins end-to-end columnar
 execution against the per-record interpreter for every paper query ×
-planner × morphism strategy, including sanitized runs and the pooled
-multi-process path.
+planner × morphism strategy, including sanitized runs.
 """
 
 from collections import Counter
@@ -295,34 +294,3 @@ def test_sanitized_run_equals_columnar(graphs):
     plain_embeddings, _ = plain.execute_embeddings(query)
     sanitized_embeddings, _ = sanitized.execute_embeddings(query)
     assert Counter(plain_embeddings) == Counter(sanitized_embeddings)
-
-
-def test_pooled_columnar_equals_per_record():
-    dataset = LDBCGenerator(scale_factor=0.02, seed=7).generate()
-    pooled_env = ExecutionEnvironment(parallelism=4, workers=2, columnar=True)
-    plain_env = ExecutionEnvironment(parallelism=4)
-    try:
-        pooled_graph = dataset.to_logical_graph(pooled_env)
-        plain_graph = dataset.to_logical_graph(plain_env)
-        pooled = CypherRunner(
-            pooled_graph,
-            statistics=GraphStatistics.from_graph(pooled_graph),
-            fused=True,
-        )
-        per_record = CypherRunner(
-            plain_graph,
-            statistics=GraphStatistics.from_graph(plain_graph),
-            fused=False,
-        )
-        for name in ("Q1", "Q5"):
-            query = instantiate(
-                ALL_QUERIES[name], dataset.first_name("medium")
-            )
-            pooled_embeddings, _ = pooled.execute_embeddings(query)
-            per_record_embeddings, _ = per_record.execute_embeddings(query)
-            assert Counter(pooled_embeddings) == Counter(
-                per_record_embeddings
-            ), name
-        assert pooled_env.worker_pool()._started
-    finally:
-        pooled_env.shutdown_workers()

@@ -1,10 +1,9 @@
-"""Pickle round-trips for objects that cross the process boundary.
+"""Pickle round-trips for plan state that may be persisted or copied.
 
-The worker runtime ships plan state between processes with standard
-pickling, so :class:`GraphStatistics` (including the per-label degree
-maps) and :class:`CostCertificate` must survive a round-trip unchanged
-— and the legacy persistence dict (written before the degree maps
-existed) must keep loading.
+:class:`GraphStatistics` (including the per-label degree maps) and
+:class:`CostCertificate` must survive a standard pickle round-trip
+unchanged — and the legacy persistence dict (written before the degree
+maps existed) must keep loading.
 """
 
 import pickle

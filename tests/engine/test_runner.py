@@ -1,8 +1,16 @@
 """Tests for CypherRunner and the graph.cypher() operator."""
 
+import math
 
+import pytest
+
+from repro.dataflow import ExecutionEnvironment
 from repro.engine import CypherRunner, MatchStrategy
 from repro.epgm import PropertyValue
+from repro.epgm.io.gdl import parse_gdl
+
+#: one property key holding an int, a string and a float
+MIXED_GDL = '[(a:N {v: 1})-[:e]->(b:N {v: "x"})-[:e]->(c:N {v: 2.5})]'
 
 
 class TestExecuteTable:
@@ -51,6 +59,52 @@ class TestExecuteTable:
         )
         # vertex HOMO admits the round trip [5, 20, 6] back to Alice too
         assert sorted(row["e"] for row in rows) == [[5, 20, 6], [5, 20, 7]]
+
+
+@pytest.fixture(params=[True, False], ids=["lint", "no-lint"])
+def mixed_runner(request):
+    graph = parse_gdl(ExecutionEnvironment(), MIXED_GDL)
+    return CypherRunner(graph, lint=request.param)
+
+
+class TestOrderability:
+    """ORDER BY and min/max follow the openCypher total order."""
+
+    def test_order_by_mixed_types(self, mixed_runner):
+        rows = mixed_runner.execute_table("MATCH (n:N) RETURN n.v ORDER BY n.v")
+        assert [row["n.v"] for row in rows] == ["x", 1, 2.5]
+
+    def test_order_by_mixed_types_descending(self, mixed_runner):
+        rows = mixed_runner.execute_table(
+            "MATCH (n:N) RETURN n.v ORDER BY n.v DESC"
+        )
+        assert [row["n.v"] for row in rows] == [2.5, 1, "x"]
+
+    def test_min_and_max_over_mixed_types(self, mixed_runner):
+        rows = mixed_runner.execute_table(
+            "MATCH (n:N) RETURN min(n.v) AS lo, max(n.v) AS hi"
+        )
+        assert rows == [{"lo": "x", "hi": 2.5}]
+
+    def test_order_by_return_alias(self, mixed_runner):
+        rows = mixed_runner.execute_table(
+            "MATCH (n:N) RETURN n.v AS v ORDER BY v DESC"
+        )
+        assert rows == [{"v": 2.5}, {"v": 1}, {"v": "x"}]
+
+    def test_order_by_aliased_expression(self, mixed_runner):
+        rows = mixed_runner.execute_table(
+            "MATCH (n:N) RETURN n.v AS v ORDER BY n.v"
+        )
+        assert [row["v"] for row in rows] == ["x", 1, 2.5]
+
+    def test_order_key_total_order(self):
+        from repro.engine.runner import _order_key
+
+        values = [None, math.nan, 3, 2.5, True, False, "b", "a", [1, "a"], [1]]
+        ordered = sorted(values, key=_order_key)
+        assert ordered[:-2] == [[1], [1, "a"], "a", "b", False, True, 2.5, 3]
+        assert math.isnan(ordered[-2]) and ordered[-1] is None
 
 
 class TestExecuteCollection:

@@ -12,10 +12,27 @@ from http.client import HTTPConnection
 
 import pytest
 
+from repro.dataflow import ExecutionEnvironment
+from repro.epgm.io.gdl import parse_gdl
 from repro.server import GraphRegistry, QueryService, serve_in_thread
 from repro.server.protocol import MAX_BODY_BYTES, ServiceRequestHandler
 
 PARAM_QUERY = "MATCH (p:Person) WHERE p.name = $name RETURN p.name"
+
+#: one property key holding an int, a string and a float
+MIXED_GDL = '[(a:N {v: 1})-[:e]->(b:N {v: "x"})-[:e]->(c:N {v: 2.5})]'
+
+#: inputs that once crashed the engine (RecursionError, TypeError, a
+#: spurious unbound-variable error) instead of answering cleanly
+HOSTILE_QUERIES = {
+    "nested-parentheses": "MATCH (n:N) WHERE " + "(" * 3000 + "n.v = 1"
+    + ")" * 3000 + " RETURN n.v",
+    "thousand-ors": "MATCH (n:N) WHERE "
+    + " OR ".join("n.v = %d" % i for i in range(1000)) + " RETURN n.v",
+    "mixed-order-by": "MATCH (n:N) RETURN n.v ORDER BY n.v",
+    "mixed-min": "MATCH (n:N) RETURN min(n.v)",
+    "order-by-alias": "MATCH (n:N) RETURN n.v AS v ORDER BY v",
+}
 
 
 def http(method, url, payload=None):
@@ -194,6 +211,30 @@ class TestErrorMapping:
         base, _, _ = endpoint
         status, _ = http("GET", base + "/nope")
         assert status == 404
+
+
+@pytest.fixture
+def mixed_endpoint():
+    registry = GraphRegistry()
+    registry.register("mixed", parse_gdl(ExecutionEnvironment(), MIXED_GDL))
+    service = QueryService(registry, max_concurrency=2)
+    server, thread = serve_in_thread(service)
+    yield "http://%s:%d" % server.address
+    server.stop()
+    thread.join(timeout=30)
+    service.close(wait=True)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_QUERIES))
+def test_hostile_query_never_answers_500(mixed_endpoint, name):
+    started = time.monotonic()
+    status, body = http("POST", mixed_endpoint + "/query", {
+        "graph": "mixed", "query": HOSTILE_QUERIES[name],
+    })
+    assert status in (200, 400), body
+    assert time.monotonic() - started < 5
+    status, _ = http("GET", mixed_endpoint + "/health")
+    assert status == 200
 
 
 class TestShutdownEndpoint:
