@@ -57,9 +57,9 @@ racecheck:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# real CPU-time engine microbenchmarks, columnar vs batched/fused vs
-# per-record; appends the next BENCH_<n>.json trajectory file at the
-# repo root.  The columnar-vs-batched comparison is informational
+# real CPU-time engine microbenchmarks, fused (columnar) vs per-record;
+# appends the next BENCH_<n>.json trajectory file at the repo root.
+# The columnar-vs-per-record comparison is informational
 # (non-blocking): the target succeeds regardless of the measured ratio
 # so noisy machines never fail CI — regressions are caught by eye from
 # the BENCH_<n>.json series instead.

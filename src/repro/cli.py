@@ -38,7 +38,6 @@ def _environment(args):
     return ExecutionEnvironment(
         cost_model=model,
         batch_size=getattr(args, "batch_size", None),
-        columnar=getattr(args, "columnar", False),
     )
 
 
@@ -594,7 +593,7 @@ def cmd_bench_serve(args):
 
 
 def cmd_bench_micro(args):
-    """Real CPU-time microbenchmarks: columnar vs batched vs per-record."""
+    """Real CPU-time microbenchmarks: fused (columnar) vs per-record."""
     from repro.harness.microbench import (
         format_microbench,
         next_trajectory_path,
@@ -787,14 +786,8 @@ def build_parser():
     )
     serve.add_argument(
         "--batch-size", type=int, default=None,
-        help="chunk length of batched (fused) execution "
+        help="chunk length of fused execution "
         "(default: %d)" % DEFAULT_BATCH_SIZE,
-    )
-    serve.add_argument(
-        "--columnar", action="store_true",
-        help="run fused chains over columnar embedding chunks "
-        "(vectorized kernels); results, "
-        "metrics and diagnostics are identical to batched execution",
     )
     serve.add_argument(
         "--vertex-strategy", choices=["homo", "iso"], default="homo"
@@ -830,7 +823,7 @@ def build_parser():
     bench_micro = commands.add_parser(
         "bench-micro",
         help="real CPU-time engine microbenchmarks: each query timed "
-        "under batched/fused, columnar, and per-record execution; "
+        "under fused (columnar) and per-record execution; "
         "writes a BENCH_<n>.json trajectory file for regression "
         "tracking",
     )
@@ -852,7 +845,7 @@ def build_parser():
     )
     bench_micro.add_argument(
         "--batch-size", type=int, default=None,
-        help="chunk length of batched execution "
+        help="chunk length of fused execution "
         "(default: %d)" % DEFAULT_BATCH_SIZE,
     )
     bench_micro.add_argument(

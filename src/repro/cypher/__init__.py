@@ -18,7 +18,12 @@ from .ast import (
     VariableRef,
     Xor,
 )
-from .errors import CypherError, CypherSemanticError, CypherSyntaxError
+from .errors import (
+    CypherError,
+    CypherSemanticError,
+    CypherSyntaxError,
+    PredicateTooLargeError,
+)
 from .parameters import bind_parameters, find_parameters
 from .parser import parse
 from .pretty import render_query
@@ -44,6 +49,7 @@ __all__ = [
     "CypherError",
     "CypherSemanticError",
     "CypherSyntaxError",
+    "PredicateTooLargeError",
     "DEFAULT_UPPER_BOUND",
     "Direction",
     "LabelRef",

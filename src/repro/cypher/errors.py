@@ -20,6 +20,15 @@ class CypherSyntaxError(CypherError):
         self.span = span
 
 
+class PredicateTooLargeError(CypherSyntaxError):
+    """A WHERE clause whose conjunctive normal form exceeds the size cap.
+
+    A syntax error like an over-deep expression: the text is refused
+    before any clause list past the cap is built (HTTP 400, ``repro
+    lint`` exit 2).
+    """
+
+
 class CypherSemanticError(CypherError):
     """The query parses but is not well-formed (e.g. unbound variable).
 

@@ -28,7 +28,7 @@ from .ast import (
     VariableRef,
     Xor,
 )
-from .errors import CypherSemanticError
+from .errors import CypherSemanticError, PredicateTooLargeError
 
 _NEGATED_OPERATOR = {
     "=": "<>",
@@ -156,75 +156,107 @@ class CNF:
 # Normalization ------------------------------------------------------------------
 
 
+#: Most clauses a WHERE clause may normalize to.  Distribution multiplies
+#: clause lists (an OR of n two-term ANDs has 2**n clauses, and each XOR
+#: both copies and negates its operands), so a short query can ask for
+#: an astronomically large CNF.  Six XOR'd comparisons give 2,619
+#: clauses; seven would give 335,877.
+MAX_CNF_CLAUSES = 4096
+
+
 def to_cnf(expression):
-    """Convert a WHERE expression tree to CNF."""
+    """Convert a WHERE expression tree to CNF.
+
+    Raises :class:`~repro.cypher.errors.PredicateTooLargeError` before
+    building any clause list longer than :data:`MAX_CNF_CLAUSES`.
+    """
     if expression is None:
         return CNF.true()
-    return CNF(_distribute(_push_not(expression, negate=False)))
+    return CNF(_clauses(expression, False, {}))
 
 
-def _push_not(node, negate):
-    """Eliminate XOR, push negation down to atoms."""
+def _clauses(node, negate, memo):
+    """The CNF clauses of ``node`` (negated when ``negate``).
+
+    XOR is eliminated (``a XOR b == (a OR b) AND (NOT a OR NOT b)``),
+    negation is pushed down to atoms by De Morgan, and OR distributes over
+    AND.  Results are memoized per ``(node, negate)``: XOR needs each
+    operand under both polarities, and recomputing them would double the
+    work at every XOR of a chain.
+    """
+    key = (id(node), negate)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
     if isinstance(node, Xor):
-        # a XOR b == (a OR b) AND (NOT a OR NOT b); XOR under NOT flips to XNOR
-        rewritten = And(Or(node.left, node.right), Or(Not(node.left), Not(node.right)))
-        return _push_not(rewritten, negate)
-    if isinstance(node, Not):
-        return _push_not(node.operand, not negate)
-    if isinstance(node, And):
-        combinator = Or if negate else And
-        return combinator(
-            _push_not(node.left, negate), _push_not(node.right, negate)
-        )
-    if isinstance(node, Or):
-        combinator = And if negate else Or
-        return combinator(
-            _push_not(node.left, negate), _push_not(node.right, negate)
-        )
-    if isinstance(node, Comparison):
+        left_pos = _clauses(node.left, False, memo)
+        right_pos = _clauses(node.right, False, memo)
+        left_neg = _clauses(node.left, True, memo)
+        right_neg = _clauses(node.right, True, memo)
+        if negate:
+            # NOT (a XOR b) == (NOT a AND NOT b) OR (a AND b)
+            clauses = _product(left_neg + right_neg, left_pos + right_pos)
+        else:
+            clauses = _conjoin(
+                _product(left_pos, right_pos), _product(left_neg, right_neg)
+            )
+    elif isinstance(node, Not):
+        clauses = _clauses(node.operand, not negate, memo)
+    elif isinstance(node, (And, Or)):
+        left = _clauses(node.left, negate, memo)
+        right = _clauses(node.right, negate, memo)
+        # under negation De Morgan swaps the connective
+        if isinstance(node, And) != negate:
+            clauses = _conjoin(left, right)
+        else:
+            clauses = _product(left, right)
+    elif isinstance(node, Comparison):
         atom = Atom(node)
-        return atom.negate() if negate else atom
-    if isinstance(node, VariableRef):
+        clauses = [Clause((atom.negate() if negate else atom,))]
+    elif isinstance(node, VariableRef):
         raise CypherSemanticError(
             "bare variable %r cannot be used as a boolean predicate" % node.name
         )
-    if isinstance(node, Literal):
-        if isinstance(node.value, bool):
-            truth = node.value != negate
-            # TRUE is an empty conjunction; FALSE an unsatisfiable comparison
-            if truth:
-                return _TRUE
-            return Atom(Comparison("<>", Literal(0), Literal(0)))
-        raise CypherSemanticError("literal %r is not a boolean predicate" % node.value)
-    raise CypherSemanticError("unsupported predicate node %r" % (node,))
+    elif isinstance(node, Literal):
+        if not isinstance(node.value, bool):
+            raise CypherSemanticError(
+                "literal %r is not a boolean predicate" % node.value
+            )
+        # TRUE is an empty conjunction; FALSE an unsatisfiable comparison
+        if node.value != negate:
+            clauses = []
+        else:
+            clauses = [Clause((Atom(Comparison("<>", Literal(0), Literal(0))),))]
+    else:
+        raise CypherSemanticError("unsupported predicate node %r" % (node,))
+    memo[key] = clauses
+    return clauses
 
 
-class _TrueMarker:
-    pass
+def _check_size(count):
+    if count > MAX_CNF_CLAUSES:
+        raise PredicateTooLargeError(
+            "WHERE expression normalizes to %d clauses, more than the "
+            "%d allowed" % (count, MAX_CNF_CLAUSES)
+        )
 
 
-_TRUE = _TrueMarker()
+def _conjoin(left, right):
+    """``left AND right`` as clauses."""
+    _check_size(len(left) + len(right))
+    return left + right
 
 
-def _distribute(node):
-    """Distribute OR over AND; returns a list of Clauses."""
-    if node is _TRUE:
-        return []
-    if isinstance(node, Atom):
-        return [Clause((node,))]
-    if isinstance(node, And):
-        return _distribute(node.left) + _distribute(node.right)
-    if isinstance(node, Or):
-        left_clauses = _distribute(node.left)
-        right_clauses = _distribute(node.right)
-        if not left_clauses or not right_clauses:
-            return []  # OR with TRUE is TRUE
-        return [
-            Clause(tuple(l.atoms) + tuple(r.atoms))
-            for l in left_clauses
-            for r in right_clauses
-        ]
-    raise AssertionError("unexpected node in distribution: %r" % (node,))
+def _product(left, right):
+    """``left OR right`` as clauses: OR distributed over both conjunctions."""
+    if not left or not right:
+        return []  # OR with TRUE is TRUE
+    _check_size(len(left) * len(right))
+    return [
+        Clause(tuple(l.atoms) + tuple(r.atoms))
+        for l in left
+        for r in right
+    ]
 
 
 # Evaluation -----------------------------------------------------------------------

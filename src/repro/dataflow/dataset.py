@@ -120,38 +120,30 @@ class DataSet:
 
     # Actions ---------------------------------------------------------------
 
-    def collect(self, fused=None, columnar=None):
+    def collect(self, fused=None):
         """Execute the DAG and return all records as a list.
 
-        ``fused`` overrides the environment's default batched-fusion mode
-        for this execution, ``columnar`` its chunk-kernel sub-mode
-        (``None`` inherits them).
+        ``fused`` overrides the environment's default fusion mode for this
+        execution (``None`` inherits it).
         """
-        partitions = self.environment.run(
-            self.operator, fused=fused, columnar=columnar
-        )
+        partitions = self.environment.run(self.operator, fused=fused)
         return [record for partition in partitions for record in partition]
 
-    def collect_partitions(self, fused=None, columnar=None):
+    def collect_partitions(self, fused=None):
         """Execute the DAG and return records per worker."""
-        return self.environment.run(
-            self.operator, fused=fused, columnar=columnar
-        )
+        return self.environment.run(self.operator, fused=fused)
 
-    def count(self, fused=None, columnar=None):
+    def count(self, fused=None):
         """Execute the DAG and return the number of records."""
         return sum(
-            len(p)
-            for p in self.environment.run(
-                self.operator, fused=fused, columnar=columnar
-            )
+            len(p) for p in self.environment.run(self.operator, fused=fused)
         )
 
-    def first(self, n, fused=None, columnar=None):
+    def first(self, n, fused=None):
         """Execute and return up to ``n`` records (deterministic order)."""
         if n < 0:
             raise ValueError("n must be non-negative, got %d" % n)
-        return self.collect(fused=fused, columnar=columnar)[:n]
+        return self.collect(fused=fused)[:n]
 
 
 class GroupedDataSet:

@@ -36,17 +36,20 @@ class ExecutionEnvironment:
             its ``workers`` field wins and this may be omitted.
         cost_model: :class:`~repro.dataflow.cost.ClusterCostModel` used for
             spill thresholds and simulated runtimes.
-        batch_size: Chunk length of batched (fused) execution; partitions
-            flow through fused operator chains in chunks of this many
-            records with one cancellation poll per chunk.
+        batch_size: Chunk length of fused execution; partitions flow
+            through fused operator chains in chunks of this many records
+            with one cancellation poll per chunk.
         fusion: Default execution mode for :meth:`run` — when True,
             adjacent partition-local operators (map / filter / flat-map)
-            are collapsed into compiled batched loops.  Per-call ``fused``
-            arguments override it; shared-cache runs are always unfused.
+            are collapsed into fused chains that run as columnar chunk
+            kernels (list batches where a stage has no kernel); when
+            False every operator runs per record, the reference path.
+            Per-call ``fused`` arguments override it; shared-cache runs
+            are always unfused.
     """
 
     def __init__(self, parallelism=None, cost_model=None, batch_size=None,
-                 fusion=True, columnar=False):
+                 fusion=True):
         if cost_model is None:
             cost_model = ClusterCostModel(workers=parallelism or 4)
         elif parallelism is not None and parallelism != cost_model.workers:
@@ -60,9 +63,6 @@ class ExecutionEnvironment:
         self.cost_model = cost_model  # unsynchronized: immutable after init
         self.batch_size = batch_size  # unsynchronized: immutable after init
         self.fusion = bool(fusion)  # unsynchronized: immutable after init
-        # columnar is a sub-mode of fusion: chunk kernels only run inside
-        # fused chains / fused-run shuffles, never per-record
-        self.columnar = bool(columnar)  # unsynchronized: immutable after init
         # the shared default accumulator: concurrent service queries never
         # record here (each runs under a per-thread job scope); only
         # single-threaded callers and reset_metrics touch it
@@ -140,7 +140,7 @@ class ExecutionEnvironment:
     # Evaluation ----------------------------------------------------------------
 
     def run(self, operator, cache=None, metrics=None, cancellation=None,
-            fused=None, columnar=None):
+            fused=None):
         """Evaluate the DAG rooted at ``operator``; returns partitions.
 
         ``cache`` (operator id → partitions) may be passed in and shared
@@ -152,8 +152,7 @@ class ExecutionEnvironment:
         per-node caching contract.
 
         ``fused`` overrides the environment's default ``fusion`` mode for
-        this run, ``columnar`` the default ``columnar`` mode (a sub-mode:
-        columnar execution requires a fused run).  ``metrics`` and
+        this run.  ``metrics`` and
         ``cancellation`` default to the thread's active :meth:`job` scope,
         so callers deep inside operator builds need no extra plumbing to
         participate in per-query scoping and deadlines.
@@ -165,11 +164,8 @@ class ExecutionEnvironment:
         if fused is None:
             fused = self.fusion
         fused = bool(fused) and cache is None
-        if columnar is None:
-            columnar = self.columnar
-        columnar = bool(columnar) and fused
         ctx = ExecutionContext(self, metrics, cancellation=cancellation,
-                               fused=fused, columnar=columnar)
+                               fused=fused)
         return self._evaluate(operator, {} if cache is None else cache, ctx)
 
     def _evaluate(self, operator, cache, ctx):

@@ -1,15 +1,19 @@
-"""Operator fusion: batched execution of partition-local operator chains.
+"""Operator fusion: chunked execution of partition-local operator chains.
 
 Flink chains pipelined operators into single tasks so records never cross
 an operator boundary through a function-call-per-record indirection.  This
 module reproduces that optimization for the simulated dataflow: a *fusion
 pass* (:func:`plan_fusion`) collapses maximal chains of partition-local
 operators (map / filter / flat-map) into one :class:`FusedChainOperator`
-whose execution is a single compiled per-partition loop.  Partitions flow
-through the loop in chunks of ``batch_size`` records with one cancellation
-poll per chunk, and the per-stage metrics are reconstructed from loop
-counters afterwards — bit-identical to what per-record execution records,
-so the simulated cost accounting does not change.
+whose execution is one pass per partition.  When the engine attached
+columnar kernels to every stage (or a leaf builder feeding kernels), the
+chain runs over columnar embedding chunks — the fast path of every fused
+run.  Otherwise, and for partitions whose shape the kernels do not fit,
+the records flow through a compiled list-batch loop in chunks of
+``batch_size``.  Both poll cancellation once per chunk, and the per-stage
+metrics are reconstructed from counters afterwards — bit-identical to
+what per-record execution records, so the simulated cost accounting does
+not change.
 
 What fuses: ``MapOperator``, ``FilterOperator``, ``FlatMapOperator`` (the
 exact classes — subclasses may override ``execute`` and are left alone).
@@ -32,7 +36,7 @@ from .operators import (
 
 from repro.locks import named_lock
 
-#: default chunk length of batched execution; roughly amortizes the
+#: default chunk length of fused execution; roughly amortizes the
 #: per-chunk bookkeeping without hurting cache locality of the records
 DEFAULT_BATCH_SIZE = 1024
 
@@ -179,19 +183,15 @@ class FusedChainOperator(Operator):
         chunk_fn = self._chunk
         fns = self._fns
         zeros = (0,) * sum(1 for kind in self._shape if kind != "map")
-        columnar = getattr(ctx, "columnar", False) and (
-            self._chunk_capable or self._leaf_capable
-        )
         out = []
         worker_counts = []
         for partition in partitions:
-            if columnar:
-                result = self._execute_columnar(token, partition, zeros)
-                if result is not None:
-                    columnar_out, totals = result
-                    out.append(columnar_out)
-                    worker_counts.append(totals)
-                    continue
+            result = self._execute_columnar(token, partition, zeros)
+            if result is not None:
+                columnar_out, totals = result
+                out.append(columnar_out)
+                worker_counts.append(totals)
+                continue
             produced = []
             append = produced.append
             totals = zeros

@@ -50,7 +50,7 @@ class ExecutionContext:
     """Per-run services handed to operators: shuffling, metrics, memory."""
 
     def __init__(self, environment, metrics, iteration=None, cancellation=None,
-                 fused=False, batch_size=None, columnar=False):
+                 fused=False, batch_size=None):
         self._environment = environment
         self._metrics = metrics
         self.iteration = iteration
@@ -58,14 +58,12 @@ class ExecutionContext:
         #: Operators read it into a local and poll at batch boundaries;
         #: plain runs carry ``None`` and pay a single ``is None`` test.
         self.cancellation = cancellation
-        #: when True the evaluator runs the fusion pass and executes
-        #: map/filter/flat-map chains as compiled batched loops
+        #: when True the evaluator runs the fusion pass: map/filter/flat-map
+        #: chains with columnar kernels execute over
+        #: :class:`~repro.engine.columnar.EmbeddingChunk` batches (and
+        #: joins/shuffles split chunks by slicing columns); chains without
+        #: kernels run as compiled list-batch loops
         self.fused = fused
-        #: when True (fused runs only), fused chains with columnar kernels
-        #: execute over :class:`~repro.engine.columnar.EmbeddingChunk`
-        #: batches and joins/shuffles split chunks by slicing columns;
-        #: operators without kernels fall back per-record transparently
-        self.columnar = columnar
         self.batch_size = (
             batch_size if batch_size is not None
             else getattr(environment, "batch_size", None)
@@ -427,7 +425,6 @@ class BulkIterationOperator(Operator):
                 cancellation=ctx.cancellation,
                 fused=ctx.fused,
                 batch_size=ctx.batch_size,
-                columnar=ctx.columnar,
             )
             working_ds = environment.from_partitions(
                 working, name="iteration-working-set"

@@ -5,8 +5,9 @@ of row-wise: the fixed-width id entries of all rows live in two flat
 tuples (``flags``, ``values``), while the variable-width ``path_data`` /
 ``prop_data`` payloads are concatenated into single buffers with per-row
 offset tables.  Because every §3.3 id entry is exactly
-``ENTRY_WIDTH`` bytes, the whole id column block decodes with **one**
-``struct.unpack`` and a column projects as a tuple slice
+``ENTRY_WIDTH`` bytes, the whole id column block decodes with a handful
+of ``struct.unpack`` calls (one per power-of-two block of entries) and a
+column projects as a tuple slice
 (``values[c::columns]``) — no per-record dispatch, no per-record
 ``Embedding`` allocation.
 
@@ -37,7 +38,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.epgm import GradoopId, PropertyValue
 from repro.epgm.property_value import NULL_VALUE
-from repro.locks import named_lock
 
 from .embedding import (
     ENTRY_WIDTH,
@@ -58,25 +58,46 @@ except ImportError:  # pragma: no cover - numpy is in the standard image
 
 _MASK = (1 << 64) - 1
 
-# Compiled struct formats are keyed by entry count, which varies with every
-# tail-chunk length — the cache is bounded so pathological batch sizes
-# cannot grow it without limit.  Leaf lock role (see docs/architecture.md,
-# "Lock hierarchy"): nothing is acquired while it is held.
-_struct_lock = named_lock("engine.columnar")
-_STRUCT_CACHE_LIMIT = 256
-_entry_structs: Dict[int, struct.Struct] = {}  # guarded-by: _struct_lock
+#: id entries decode and encode in power-of-two blocks of at most
+#: ``1 << _MAX_BLOCK_BITS`` entries, one precompiled struct per block size.
+#: A compiled struct costs about 66 bytes per entry (203 KB for 3,072
+#: entries), and chunk lengths vary with every tail chunk, so a struct per
+#: length would grow memory with every new length seen.
+_MAX_BLOCK_BITS = 10
+_BLOCK_STRUCTS = tuple(
+    struct.Struct(">" + "BQ" * (1 << bits))
+    for bits in range(_MAX_BLOCK_BITS + 1)
+)
+_MAX_BLOCK = 1 << _MAX_BLOCK_BITS
 
 
-def entry_struct(n: int) -> struct.Struct:
-    """The big-endian struct of ``n`` consecutive §3.3 id entries."""
-    with _struct_lock:
-        compiled = _entry_structs.get(n)
-    if compiled is None:
-        compiled = struct.Struct(">" + "BQ" * n)
-        with _struct_lock:
-            if len(_entry_structs) < _STRUCT_CACHE_LIMIT:
-                _entry_structs[n] = compiled
-    return compiled
+def _blocks(n: int) -> Iterator[struct.Struct]:
+    """The block structs covering ``n`` entries, largest first."""
+    while n:
+        size = min(_MAX_BLOCK, 1 << (n.bit_length() - 1))
+        yield _BLOCK_STRUCTS[size.bit_length() - 1]
+        n -= size
+
+
+def pack_entries(flat: Sequence[int]) -> bytes:
+    """The big-endian §3.3 id bytes of ``flat`` (flag, value, flag, ...)."""
+    parts = []
+    start = 0
+    for block in _blocks(len(flat) // 2):
+        end = start + 2 * (block.size // ENTRY_WIDTH)
+        parts.append(block.pack(*flat[start:end]))
+        start = end
+    return b"".join(parts)
+
+
+def unpack_entries(buf: bytes, n: int) -> Tuple[int, ...]:
+    """``(flag, value, flag, ...)`` of the ``n`` id entries in ``buf``."""
+    flat: List[int] = []
+    offset = 0
+    for block in _blocks(n):
+        flat.extend(block.unpack_from(buf, offset))
+        offset += block.size
+    return tuple(flat)
 
 
 class EmbeddingChunk:
@@ -133,7 +154,7 @@ class EmbeddingChunk:
             flat: List[int] = [0] * (2 * n)
             flat[0::2] = self.flags
             flat[1::2] = self.values
-            buf = entry_struct(n).pack(*flat)
+            buf = pack_entries(flat)
             self._id_buf = buf
         return buf
 
@@ -296,7 +317,7 @@ def chunk_from_embeddings(records: Sequence[Any]) -> Optional[EmbeddingChunk]:
         prop_total += len(record.prop_data)
         prop_offsets.append(prop_total)
     id_buf = b"".join(id_parts)
-    flat = entry_struct(count * columns).unpack(id_buf)
+    flat = unpack_entries(id_buf, count * columns)
     return EmbeddingChunk(
         count,
         columns,

@@ -151,13 +151,8 @@ class PreparedStatement:
             # instrumentation baked into this plan decides the mode, not the
             # runner's *current* sanitize flag (they may have diverged)
             fused = False if self.sanitizer is not None else self.runner.fused
-            columnar = (
-                False if self.sanitizer is not None else self.runner.columnar
-            )
             with environment.job("prepared", cancellation=token) as metrics:
-                embeddings = self.root.evaluate().collect(
-                    fused=fused, columnar=columnar
-                )
+                embeddings = self.root.evaluate().collect(fused=fused)
             self.executions += 1
             return embeddings, self.root.meta, metrics
 

@@ -59,7 +59,6 @@ class CypherRunner:
         sanitize=False,
         plan_cache=None,
         fused=None,
-        columnar=None,
         prune=False,
     ):
         self.graph = graph
@@ -70,15 +69,12 @@ class CypherRunner:
         #: liveness allows.  Result-equivalent by construction (and
         #: differential-tested); part of the plan-cache key.
         self.prune = prune
-        #: batched-fusion override for this runner's executions: ``None``
-        #: inherits the environment default, ``False`` forces per-record.
-        #: Sanitized execution is always per-record regardless (the
-        #: sanitizer's per-boundary wrappers must see every intermediate).
+        #: fusion override for this runner's executions: ``None``
+        #: inherits the environment default (fused, columnar chunks),
+        #: ``False`` forces the per-record reference path.  Sanitized
+        #: execution is always per-record regardless (the sanitizer's
+        #: per-boundary wrappers must see every intermediate).
         self.fused = fused
-        #: columnar chunk-kernel override, same contract as ``fused`` —
-        #: ``None`` inherits the environment default, and sanitized runs
-        #: are per-record (so never columnar) by construction
-        self.columnar = columnar
         self.vertex_strategy = vertex_strategy or DEFAULT_VERTEX_STRATEGY
         self.edge_strategy = edge_strategy or DEFAULT_EDGE_STRATEGY
         self._statistics = statistics
@@ -398,18 +394,11 @@ class CypherRunner:
         """The ``fused`` argument this runner's executions should pass."""
         return False if self.sanitize else self.fused
 
-    def execution_columnar(self):
-        """The ``columnar`` argument this runner's executions should pass."""
-        return False if self.sanitize else self.columnar
-
     def execute_embeddings(self, query, parameters=None):
         """``(embeddings, meta)`` — the raw relational result."""
         _, root = self.compile(query, parameters)
         return (
-            root.evaluate().collect(
-                fused=self.execution_fused(),
-                columnar=self.execution_columnar(),
-            ),
+            root.evaluate().collect(fused=self.execution_fused()),
             root.meta,
         )
 
@@ -428,10 +417,7 @@ class CypherRunner:
         SKIP and LIMIT.
         """
         handler, root = self.compile(query, parameters)
-        embeddings = root.evaluate().collect(
-            fused=self.execution_fused(),
-            columnar=self.execution_columnar(),
-        )
+        embeddings = root.evaluate().collect(fused=self.execution_fused())
         return self.build_rows(handler, embeddings, root.meta)
 
     def build_rows(self, handler, embeddings, meta):

@@ -31,6 +31,23 @@ class IndexedLogicalGraph(LogicalGraph):
         return indexed
 
     @classmethod
+    def from_elements(cls, environment, graph_head, vertices, edges):
+        """Index element lists that already carry their graph membership.
+
+        The full datasets and the per-label ones are built from the same
+        in-memory lists (a data source's read), so loading indexed costs
+        one grouping pass instead of a dataflow collect.
+        """
+        indexed = cls(
+            environment,
+            graph_head,
+            environment.from_collection(vertices, name="vertices"),
+            environment.from_collection(edges, name="edges"),
+        )
+        indexed._build_index(vertices, edges)
+        return indexed
+
+    @classmethod
     def from_collections(
         cls, environment, vertices, edges, graph_head=None, id_factory=None
     ):

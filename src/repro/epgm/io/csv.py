@@ -18,7 +18,7 @@ import os
 from ..elements import Edge, GraphHead, Vertex
 from ..graph_collection import GraphCollection
 from ..identifiers import GradoopId
-from ..logical_graph import LogicalGraph
+from ..indexed import IndexedLogicalGraph
 from ..property_value import PropertyValue
 
 _KIND_GRAPH = "g"
@@ -257,7 +257,11 @@ class CSVDataSource:
         return GraphCollection.from_collections(environment, heads, vertices, edges)
 
     def get_logical_graph(self, environment):
-        """Read a single logical graph (the collection must have one head)."""
+        """Read a single logical graph (the collection must have one head).
+
+        The graph is label-indexed (paper §3.4): a label predicate reads
+        only its label's vertices or edges instead of filtering them all.
+        """
         metadata = _Metadata.read(os.path.join(self.path, "metadata.csv"))
         heads = list(self._read_graphs(metadata))
         if len(heads) != 1:
@@ -266,11 +270,8 @@ class CSVDataSource:
             )
         vertices = list(self._read_vertices(metadata))
         edges = list(self._read_edges(metadata))
-        return LogicalGraph(
-            environment,
-            heads[0],
-            environment.from_collection(vertices, name="vertices"),
-            environment.from_collection(edges, name="edges"),
+        return IndexedLogicalGraph.from_elements(
+            environment, heads[0], vertices, edges
         )
 
     def get_statistics(self):

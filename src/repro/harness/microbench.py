@@ -1,10 +1,10 @@
-"""Real-time engine microbenchmarks: columnar vs batched vs per-record.
+"""Real-time engine microbenchmarks: fused (columnar) vs per-record.
 
 The experiment runners in :mod:`repro.harness.experiments` report
 *simulated* cluster runtimes from the cost model; these benchmarks
 measure the actual CPU cost of the Python engine itself — the number the
-batched execution mode (docs/architecture.md, "Execution model: batching
-and fusion") exists to reduce.  ``repro bench-micro`` and
+fused columnar execution path (docs/architecture.md, "Columnar
+execution") exists to reduce.  ``repro bench-micro`` and
 ``make bench-micro`` call :func:`run_microbench` and write the report as
 a ``BENCH_<n>.json`` trajectory file at the repo root so successive
 changes leave a comparable series of measurements behind.
@@ -47,10 +47,9 @@ DEFAULT_SCALE_FACTOR = 0.2
 #: Pinned timed trials per (query, mode) after the untimed warm-up.
 DEFAULT_REPEATS = 5
 
-#: Execution modes timed by :func:`run_microbench`, in report order:
-#: fused/batched (the PR 5 baseline), fused over columnar chunks, and
-#: the unfused per-record interpreter.
-MICRO_MODES = ("batched", "columnar", "per-record")
+#: Execution modes timed by :func:`run_microbench`, in report order: the
+#: fused fast path (columnar chunks) and the per-record reference.
+MICRO_MODES = ("columnar", "per-record")
 
 
 def _physical_postorder(root):
@@ -115,17 +114,15 @@ def run_microbench(
     batch_size=None,
     selectivity="low",
 ):
-    """Time each query under batched, columnar, and per-record execution.
+    """Time each query under fused (columnar) and per-record execution.
 
     Returns a JSON-ready report dict whose ``results`` list holds one
     record per (query, mode): ``query``, ``mode`` (one of
-    :data:`MICRO_MODES`), ``batched`` (false only for the per-record
-    interpreter), ``median_seconds``, ``stddev_seconds``,
+    :data:`MICRO_MODES`), ``fused`` (false only for the per-record
+    reference), ``median_seconds``, ``stddev_seconds``,
     ``min_seconds``, ``rows``, and the raw ``seconds`` samples.
-    ``speedup`` maps each query to the per-record / batched median
-    ratio; ``columnar_speedup`` maps each query to the batched /
-    columnar median ratio — the win of running the same fused chains
-    over columnar chunks instead of embedding lists.
+    ``speedup`` maps each query to the per-record / columnar median
+    ratio.
     """
     dataset = LDBCGenerator(scale_factor, seed).generate()
     modes = {}
@@ -134,7 +131,6 @@ def run_microbench(
             cost_model=default_cost_model(workers),
             batch_size=batch_size,
             fusion=mode != "per-record",
-            columnar=mode == "columnar",
         )
         graph = dataset.to_logical_graph(environment)
         statistics = GraphStatistics.from_graph(graph)
@@ -167,7 +163,7 @@ def run_microbench(
                 {
                     "query": name,
                     "mode": mode,
-                    "batched": mode != "per-record",
+                    "fused": mode != "per-record",
                     "median_seconds": median(data),
                     "stddev_seconds": stdev(data) if len(data) > 1 else 0.0,
                     "min_seconds": min(data),
@@ -176,15 +172,10 @@ def run_microbench(
                 }
             )
     speedup = {}
-    columnar_speedup = {}
     for name, _ in cases:
-        fused = median(samples[name, "batched"])
+        fused = median(samples[name, "columnar"])
         plain = median(samples[name, "per-record"])
-        chunked = median(samples[name, "columnar"])
         speedup[name] = plain / fused if fused else float("inf")
-        columnar_speedup[name] = (
-            fused / chunked if chunked else float("inf")
-        )
 
     # Liveness-pruning win: embedding bytes crossing operator boundaries
     # with and without the dead-byte pruning rewriter.  Measured on the
@@ -219,13 +210,12 @@ def run_microbench(
         "workers": workers,
         "repeats": repeats,
         "default_repeats": DEFAULT_REPEATS,
-        "batch_size": modes["batched"][0].batch_size,
+        "batch_size": modes["columnar"][0].batch_size,
         "modes": list(MICRO_MODES),
         "clock": "process_time",
         "python": platform.python_version(),
         "results": results,
         "speedup": speedup,
-        "columnar_speedup": columnar_speedup,
         "embedding_bytes": embedding_bytes,
     }
     return report
@@ -247,14 +237,11 @@ def format_microbench(report):
         % ("query", "mode", "median [s]", "stddev [s]", "min [s]", "rows"),
     ]
     for record in report["results"]:
-        mode = record.get(
-            "mode", "batched" if record["batched"] else "per-record"
-        )
         lines.append(
             "%-6s %-12s %12.4f %12.4f %12.4f %8d"
             % (
                 record["query"],
-                mode,
+                record["mode"],
                 record["median_seconds"],
                 record["stddev_seconds"],
                 record["min_seconds"],
@@ -263,13 +250,8 @@ def format_microbench(report):
         )
     for name in sorted(report["speedup"]):
         lines.append(
-            "%-6s batched is %.2fx the per-record median"
+            "%-6s per-record median is %.2fx the columnar median"
             % (name, report["speedup"][name])
-        )
-    for name in sorted(report.get("columnar_speedup", {})):
-        lines.append(
-            "%-6s columnar is %.2fx the batched median"
-            % (name, report["columnar_speedup"][name])
         )
     for name in sorted(report.get("embedding_bytes", {})):
         record = report["embedding_bytes"][name]

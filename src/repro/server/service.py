@@ -155,7 +155,6 @@ class QueryService:
         verify_plans=False,
         max_cost_bound=None,
         prune=False,
-        columnar=None,
     ):
         if max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
@@ -177,9 +176,6 @@ class QueryService:
         self.max_cost_bound = max_cost_bound
         #: liveness-driven dead-byte pruning for every runner's plans
         self.prune = prune
-        #: columnar chunk-kernel execution for every runner (``None``
-        #: inherits the environment default; sanitized runs stay per-record)
-        self.columnar = columnar
         #: one LRU shared by every runner the service creates; holds both
         #: ("plan", ...) entries and ("prepared", ...) statements
         self.plan_cache = LRUCache(plan_cache_size, name="cache.plan")
@@ -223,7 +219,6 @@ class QueryService:
                     verify_plans=self.verify_plans,
                     plan_cache=self.plan_cache,
                     prune=self.prune,
-                    columnar=self.columnar,
                 )
                 self._runners[key] = runner
                 self._compile_locks[key] = named_lock("service.compile")

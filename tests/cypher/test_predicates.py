@@ -1,13 +1,17 @@
 """Tests for CNF normalization and ternary predicate evaluation."""
 
+import time
+
 import pytest
 
 from repro.cypher import (
     CNF,
     Comparison,
     CypherSemanticError,
+    CypherSyntaxError,
     LabelRef,
     Literal,
+    PredicateTooLargeError,
     PropertyAccess,
     VariableRef,
     evaluate_cnf,
@@ -15,7 +19,11 @@ from repro.cypher import (
     parse,
     to_cnf,
 )
-from repro.cypher.predicates import evaluate_clause, label_predicate
+from repro.cypher.predicates import (
+    MAX_CNF_CLAUSES,
+    evaluate_clause,
+    label_predicate,
+)
 from repro.epgm import GradoopId, PropertyValue
 
 
@@ -110,6 +118,36 @@ class TestCNFConversion:
     def test_bare_variable_predicate_rejected(self):
         with pytest.raises(CypherSemanticError):
             cnf_of("a")
+
+
+def xor_chain(count):
+    return " XOR ".join("a.x = %d" % value for value in range(count))
+
+
+class TestCNFSizeCap:
+    def test_xor_chain_sizes_below_the_cap(self):
+        sizes = [len(cnf_of(xor_chain(count))) for count in range(2, 7)]
+        assert sizes == [2, 6, 21, 133, 2619]
+        assert max(sizes) <= MAX_CNF_CLAUSES
+
+    def test_eight_xor_comparisons_rejected_quickly(self):
+        started = time.monotonic()
+        with pytest.raises(PredicateTooLargeError) as raised:
+            cnf_of(xor_chain(8))
+        assert time.monotonic() - started < 1.0
+        assert isinstance(raised.value, CypherSyntaxError)
+        assert str(MAX_CNF_CLAUSES) in str(raised.value)
+
+    def test_or_of_ands_rejected_past_the_cap(self):
+        # each OR'd two-term AND doubles the clause count: 2**13 > cap
+        terms = ["(a.x = %d AND a.y = %d)" % (i, i) for i in range(13)]
+        with pytest.raises(PredicateTooLargeError):
+            cnf_of(" OR ".join(terms))
+        assert len(cnf_of(" OR ".join(terms[:12]))) == 2 ** 12
+
+    def test_true_or_huge_disjunct_is_trivial(self):
+        # OR with TRUE is TRUE, however many clauses the other side has
+        assert cnf_of("true OR (%s)" % xor_chain(5)).is_trivial
 
 
 class TestEvaluation:

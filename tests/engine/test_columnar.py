@@ -13,6 +13,9 @@ execution against the per-record interpreter for every paper query ×
 planner × morphism strategy, including sanitized runs.
 """
 
+import gc
+import struct
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -20,12 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow import ExecutionEnvironment, partition_index
-from repro.engine import CypherRunner, GraphStatistics, MatchStrategy
+from repro.engine import CypherRunner, GraphStatistics, MatchStrategy, columnar
 from repro.engine.columnar import (
     ColumnarPartition,
     EmbeddingChunk,
     chunk_from_embeddings,
+    pack_entries,
     shuffle_split,
+    unpack_entries,
 )
 from repro.engine.embedding import Embedding, iter_property_records
 from repro.engine.planning import (
@@ -36,6 +41,7 @@ from repro.engine.planning import (
 from repro.epgm import GradoopId, PropertyValue
 from repro.harness.queries import ALL_QUERIES, instantiate
 from repro.ldbc import LDBCGenerator
+from repro.server import GraphRegistry, QueryService
 
 _ids = st.integers(min_value=0, max_value=2**40)
 _values = st.one_of(
@@ -243,7 +249,8 @@ STRATEGIES = (
 @pytest.fixture(scope="module")
 def graphs():
     dataset = LDBCGenerator(scale_factor=0.03, seed=11).generate()
-    columnar_env = ExecutionEnvironment(parallelism=4, columnar=True)
+    # fused runs are columnar; the plain graph runs the per-record reference
+    columnar_env = ExecutionEnvironment(parallelism=4)
     plain_env = ExecutionEnvironment(parallelism=4)
     columnar_graph = dataset.to_logical_graph(columnar_env)
     plain_graph = dataset.to_logical_graph(plain_env)
@@ -294,3 +301,82 @@ def test_sanitized_run_equals_columnar(graphs):
     plain_embeddings, _ = plain.execute_embeddings(query)
     sanitized_embeddings, _ = sanitized.execute_embeddings(query)
     assert Counter(plain_embeddings) == Counter(sanitized_embeddings)
+
+
+def test_default_fused_run_produces_columnar_partitions(graphs):
+    dataset, (graph, statistics), _ = graphs
+    query = instantiate(ALL_QUERIES["Q1"], dataset.first_name("medium"))
+    _, root = CypherRunner(graph, statistics=statistics).compile(query)
+    partitions = graph.environment.run(root.evaluate().operator)
+    assert partitions
+    assert all(isinstance(p, ColumnarPartition) for p in partitions)
+
+
+def test_default_query_service_runs_columnar(graphs, monkeypatch):
+    dataset, (graph, statistics), _ = graphs
+    built = []
+    original = ColumnarPartition.__init__
+
+    def counting_init(self, chunks):
+        built.append(len(chunks))
+        original(self, chunks)
+
+    monkeypatch.setattr(ColumnarPartition, "__init__", counting_init)
+    registry = GraphRegistry()
+    registry.register("ldbc", graph, statistics)
+    service = QueryService(registry)
+    try:
+        query = instantiate(ALL_QUERIES["Q1"], dataset.first_name("medium"))
+        service.execute("ldbc", query)
+    finally:
+        service.close(wait=True)
+    assert built
+
+
+# --- id-entry codec ------------------------------------------------------------
+
+
+def _entries(n):
+    return [value for index in range(n) for value in (index % 3, 7 * index)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 255, 1024, 1025, 3072, 5000])
+def test_entry_codec_matches_the_per_entry_layout(n):
+    flat = _entries(n)
+    expected = struct.pack(">" + "BQ" * n, *flat)
+    assert pack_entries(flat) == expected
+    assert unpack_entries(expected, n) == tuple(flat)
+
+
+def test_entry_codec_memory_is_bounded_across_chunk_lengths():
+    """Chunks of hundreds of distinct lengths leave no per-length state.
+
+    A struct compiled per entry count costs about 66 bytes per entry and
+    was cached per length, so distinct tail-chunk lengths grew the cache
+    by megabytes; the codec now owns a fixed set of block structs.
+    """
+    structs = columnar._BLOCK_STRUCTS
+    assert len(structs) == columnar._MAX_BLOCK_BITS + 1
+    assert sum(s.size for s in structs) < 2 * columnar._MAX_BLOCK * 9
+    rows = [Embedding.of_ids(GradoopId(i), GradoopId(i + 1), GradoopId(i + 2))
+            for i in range(400)]
+    chunk_from_embeddings(rows[:1]).id_buf()  # warm any first-use state
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for count in range(100, 400):
+            chunk = chunk_from_embeddings(rows[:count])
+            assert chunk.to_embeddings() == rows[:count]
+            EmbeddingChunk(
+                chunk.count, chunk.columns, chunk.flags, chunk.values,
+                chunk.path_buf, chunk.path_offsets, chunk.prop_buf,
+                chunk.prop_offsets,
+            ).id_buf()
+        del chunk
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert columnar._BLOCK_STRUCTS is structs
+    assert retained < 256 * 1024

@@ -32,6 +32,8 @@ HOSTILE_QUERIES = {
     "mixed-order-by": "MATCH (n:N) RETURN n.v ORDER BY n.v",
     "mixed-min": "MATCH (n:N) RETURN min(n.v)",
     "order-by-alias": "MATCH (n:N) RETURN n.v AS v ORDER BY v",
+    "eight-xors": "MATCH (n:N) WHERE "
+    + " XOR ".join("n.v = %d" % i for i in range(8)) + " RETURN n.v",
 }
 
 

@@ -125,16 +125,17 @@ class TestBenchMicro:
             "--output", str(tmp_path / "bench.json"),
         )
         assert result.returncode == 0, result.stderr
-        assert "per-record" in result.stdout and "batched" in result.stdout
-        assert "columnar" in result.stdout
+        assert "per-record" in result.stdout and "columnar" in result.stdout
+        assert "batched" not in result.stdout
         report = json.loads((tmp_path / "bench.json").read_text())
         assert report["repeats"] == 2
         assert report["default_repeats"] == 5
         assert report["default_scale_factor"] == 0.2
+        assert report["modes"] == ["columnar", "per-record"]
         by_mode = {record["mode"]: record for record in report["results"]}
-        assert set(by_mode) == {"batched", "columnar", "per-record"}
-        assert by_mode["batched"]["batched"] is True
-        assert by_mode["per-record"]["batched"] is False
+        assert set(by_mode) == {"columnar", "per-record"}
+        assert by_mode["columnar"]["fused"] is True
+        assert by_mode["per-record"]["fused"] is False
         rows = {record["rows"] for record in by_mode.values()}
         assert len(rows) == 1
         for record in by_mode.values():
@@ -142,7 +143,7 @@ class TestBenchMicro:
             assert len(record["seconds"]) == 2
             assert record["median_seconds"] >= record["min_seconds"] >= 0
         assert "Q1" in report["speedup"]
-        assert "Q1" in report["columnar_speedup"]
+        assert "columnar_speedup" not in report
 
     def test_default_output_picks_next_index(self, tmp_path):
         (tmp_path / "BENCH_3.json").write_text("{}")
