@@ -1,6 +1,6 @@
 .PHONY: install test check flowcheck livecheck lint typecheck racecheck \
-	bench bench-micro docs-codes examples reports clean serve-smoke \
-	bench-serve
+	bench bench-micro paper-figures docs-codes examples reports clean \
+	serve-smoke bench-serve
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -65,6 +65,16 @@ bench:
 # the BENCH_<n>.json series instead.
 bench-micro:
 	python -m repro bench-micro
+
+# the paper-figure shape tests (Figs. 3-5, Tables 3-4, appendix): they
+# assert shapes of the simulated cost model, so they are deterministic
+# and catch any change to the recorded metric stream (~20 s)
+paper-figures:
+	pytest -q --benchmark-disable benchmarks/test_fig3_speedup.py \
+		benchmarks/test_fig4_datasize.py benchmarks/test_fig5_selectivity.py \
+		benchmarks/test_table3_intermediate.py \
+		benchmarks/test_table4_runtimes.py \
+		benchmarks/test_appendix_cardinalities.py
 
 # start `repro serve` as a subprocess, run a parameterized query over the
 # wire, prepare/execute with two bindings, shut down cleanly

@@ -226,17 +226,35 @@ class ExecutionEnvironment:
         step,
         max_iterations,
         collect_emissions=True,
+        static=(),
         name=None,
     ):
-        """A *lazy* bulk iteration: the superstep loop becomes a DAG node.
+        """A *lazy* Flink-style bulk iteration: the superstep loop becomes
+        a DAG node.
 
-        Same contract as :meth:`bulk_iterate`, but nothing runs until the
-        returned dataset is evaluated — and the loop re-runs on *every*
-        evaluation, under the evaluating run's job scope.  This is what
-        plan-reusing callers need (prepared statements re-execute one
-        compiled plan with different parameter bindings; an eagerly
-        materialized iteration would freeze the first binding's paths
-        into the plan).
+        Args:
+            initial: DataSet seeding the working set.
+            step: ``step(working: DataSet, iteration: int) ->
+                (next_working: DataSet, emit: DataSet | None)``.  Called once
+                per superstep with a dataset view of the current working set;
+                it must build and return lazy datasets in this environment.
+            max_iterations: Hard superstep bound (paper: the path upper
+                bound).
+            collect_emissions: When True the result is the union of all
+                ``emit`` datasets; when False it is the final working set.
+            static: Datasets the step reads that do not depend on the
+                working set (an expand's edge relation).  They are
+                evaluated once per execution instead of once per
+                superstep; their metrics are still recorded per superstep.
+
+        Nothing runs until the returned dataset is evaluated, and the loop
+        re-runs on *every* evaluation, under the evaluating run's job
+        scope.  This is what plan-reusing callers need (prepared statements
+        re-execute one compiled plan with different parameter bindings; an
+        eagerly materialized iteration would freeze the first binding's
+        paths into the plan).  The iteration terminates early once the
+        working set is empty, like Flink's empty-workset convergence
+        criterion.
         """
         from .operators import BulkIterationOperator
 
@@ -250,6 +268,7 @@ class ExecutionEnvironment:
                 step,
                 max_iterations,
                 collect_emissions=collect_emissions,
+                static=tuple(dataset.operator for dataset in static),
                 name=name or "bulk-iteration",
             ),
         )
@@ -262,58 +281,15 @@ class ExecutionEnvironment:
         collect_emissions=True,
         metrics_scope=None,
     ):
-        """Run a Flink-style bulk iteration.
-
-        Args:
-            initial: DataSet seeding the working set.
-            step: ``step(working: DataSet, iteration: int) ->
-                (next_working: DataSet, emit: DataSet | None)``.  Called once
-                per superstep with a dataset view of the current working set;
-                it must build and return lazy datasets in this environment.
-            max_iterations: Hard superstep bound (paper: the path upper
-                bound).
-            collect_emissions: When True the result is the union of all
-                ``emit`` datasets; when False it is the final working set.
-
-        Returns:
-            A materialized :class:`DataSet`.
-
-        The iteration terminates early once the working set is empty, like
-        Flink's empty-workset convergence criterion.
-        """
-        if max_iterations < 0:
-            raise IterationError("max_iterations must be >= 0")
-        metrics = metrics_scope if metrics_scope is not None else self.current_metrics
-        cancellation = self.current_cancellation
-        outer_ctx = ExecutionContext(self, metrics, cancellation=cancellation)
-        shared_cache = {}
-        working = self._evaluate(initial.operator, shared_cache, outer_ctx)
-        emitted = [[] for _ in range(self.parallelism)]
-
-        for iteration in range(1, max_iterations + 1):
-            if sum(len(p) for p in working) == 0:
-                break
-            ctx = ExecutionContext(
-                self, metrics, iteration=iteration, cancellation=cancellation
-            )
-            working_ds = self.from_partitions(working, name="iteration-working-set")
-            result = step(working_ds, iteration)
-            if isinstance(result, tuple):
-                next_working_ds, emit_ds = result
-            else:
-                next_working_ds, emit_ds = result, None
-            if next_working_ds is None:
-                raise IterationError("step returned no next working set")
-            cache = dict(shared_cache)
-            working = self._evaluate(next_working_ds.operator, cache, ctx)
-            if emit_ds is not None and collect_emissions:
-                emit_parts = self._evaluate(emit_ds.operator, cache, ctx)
-                for worker, partition in enumerate(emit_parts):
-                    emitted[worker].extend(partition)
-
-        if collect_emissions:
-            return self.from_partitions(emitted, name="iteration-result")
-        return self.from_partitions(working, name="iteration-result")
+        """An eager :meth:`iterate`: runs the per-record loop now and
+        returns the result as a materialized :class:`DataSet`."""
+        iteration = self.iterate(
+            initial, step, max_iterations, collect_emissions=collect_emissions
+        )
+        partitions = self.run(
+            iteration.operator, metrics=metrics_scope, fused=False
+        )
+        return self.from_partitions(partitions, name="iteration-result")
 
     def delta_iterate(
         self,

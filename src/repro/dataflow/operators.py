@@ -7,6 +7,7 @@ move data; key-based operators (join, group, distinct) shuffle records and
 report the movement to the environment's :class:`~repro.dataflow.metrics.JobMetrics`.
 """
 
+import dataclasses
 import enum
 import itertools
 
@@ -393,34 +394,64 @@ class BulkIterationOperator(Operator):
     """Flink-style bulk iteration as a *lazy* DAG node.
 
     The superstep loop runs inside :meth:`execute` — at evaluation time,
-    under the evaluating run's metrics and cancellation token — not at
-    DAG-construction time like :meth:`ExecutionEnvironment.bulk_iterate`.
-    Plans that are built once and executed many times (prepared statements
-    re-binding ``$parameters``) therefore re-iterate on every execution
-    instead of replaying the first execution's materialized supersteps.
+    under the evaluating run's metrics and cancellation token.  Plans that
+    are built once and executed many times (prepared statements re-binding
+    ``$parameters``) therefore re-iterate on every execution instead of
+    replaying the first execution's materialized supersteps.
+
+    ``static`` operators do not depend on the working set (the expand's
+    edge relation).  Like Flink's static join inputs, they are evaluated
+    once per execution, at the first superstep that runs, and every
+    superstep's cache is seeded with the result.  Their recorded runs are
+    replayed into each superstep, tagged with its iteration, so the
+    metrics stream equals what evaluating them per superstep records.
     """
 
     display = "bulk-iteration"
 
     def __init__(self, environment, initial, step, max_iterations,
-                 collect_emissions=True, name=None):
+                 collect_emissions=True, static=(), name=None):
         super().__init__(environment, [initial], name)
         self.step = step
         self.max_iterations = max_iterations
         self.collect_emissions = collect_emissions
+        self.static = static
+
+    def _evaluate_static(self, ctx):
+        """``(cache, runs)`` of the static operators under a capturing scope."""
+        from .metrics import JobMetrics
+
+        captured = JobMetrics()
+        static_ctx = ExecutionContext(
+            self.environment,
+            captured,
+            cancellation=ctx.cancellation,
+            fused=ctx.fused,
+            batch_size=ctx.batch_size,
+        )
+        cache = {}
+        for operator in self.static:
+            self.environment._evaluate(operator, cache, static_ctx)
+        return cache, captured.runs
 
     def execute(self, ctx, parent_partition_sets):
         from .errors import IterationError
 
         environment = self.environment
+        metrics = ctx._metrics
         (working,) = parent_partition_sets
         emitted = [[] for _ in range(ctx.parallelism)]
+        static_cache = static_runs = None
         for iteration in range(1, self.max_iterations + 1):
             if sum(len(p) for p in working) == 0:
                 break
+            if static_cache is None:
+                static_cache, static_runs = self._evaluate_static(ctx)
+            for run in static_runs:
+                metrics.add(dataclasses.replace(run, iteration=iteration))
             iter_ctx = ExecutionContext(
                 environment,
-                ctx._metrics,
+                metrics,
                 iteration=iteration,
                 cancellation=ctx.cancellation,
                 fused=ctx.fused,
@@ -436,10 +467,10 @@ class BulkIterationOperator(Operator):
                 next_working_ds, emit_ds = result, None
             if next_working_ds is None:
                 raise IterationError("step returned no next working set")
-            # fresh cache per superstep, like the eager primitive: only
-            # this iteration's sub-DAG is shared between working set and
-            # emissions
-            cache = {}
+            # a fresh cache per superstep, seeded with the static inputs:
+            # only this iteration's sub-DAG is shared between working set
+            # and emissions
+            cache = dict(static_cache)
             working = environment._evaluate(
                 next_working_ds.operator, cache, iter_ctx
             )

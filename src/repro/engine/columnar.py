@@ -45,7 +45,6 @@ from .embedding import (
     PROP_LEN_WIDTH,
     ElementBindings,
     Embedding,
-    _ENTRY,
     _PROP_LEN,
 )
 from .morphism import MatchStrategy

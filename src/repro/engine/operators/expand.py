@@ -11,11 +11,46 @@ end.
 """
 
 from repro.cypher.predicates import compile_cnf
+from repro.epgm import GradoopId
 from repro.epgm.indexed import IndexedLogicalGraph
 
 from ..embedding import ElementBindings
 from ..morphism import MatchStrategy
 from .base import PhysicalOperator
+
+#: the structural size estimate of a frontier record beyond its embedding
+#: and path ids: the 5-tuple (16), the path tuple (16), the end id (8) and
+#: the two id sets (64 each) — what ``estimate_size`` charges the record
+_FRONTIER_OVERHEAD = 168
+
+_NO_IDS = frozenset()
+
+
+class _EdgeTuple(tuple):
+    """A ``(from, edge, to)`` int triple of the expand's edge relation."""
+
+    __slots__ = ()
+
+    #: the structural estimate of a 3-tuple of ints, without walking it
+    serialized_size = 40
+
+
+class _FrontierItem(tuple):
+    """A partial path: ``(embedding, path, end, base vertex ids, base edge
+    ids)``.
+
+    ``path`` alternates edge and vertex ids (``e1, v1, e2, ...``); the id
+    sets hold only the input embedding's ids, shared by every path grown
+    from it, so a hop never copies them.  The record knows its shuffle
+    size, which equals the structural estimate of the plain 5-tuple.
+    """
+
+    __slots__ = ()
+
+    def serialized_size(self):
+        return (
+            self[0].serialized_size() + _FRONTIER_OVERHEAD + 8 * len(self[1])
+        )
 
 
 class ExpandEmbeddings(PhysicalOperator):
@@ -95,16 +130,17 @@ class ExpandEmbeddings(PhysicalOperator):
             if not keep(ElementBindings(variable, edge)):
                 return []
             source, target = edge.source_id.value, edge.target_id.value
+            edge_id = edge.id.value
             if undirected:
                 if source == target:
-                    return [(source, edge.id.value, target)]
+                    return [_EdgeTuple((source, edge_id, target))]
                 return [
-                    (source, edge.id.value, target),
-                    (target, edge.id.value, source),
+                    _EdgeTuple((source, edge_id, target)),
+                    _EdgeTuple((target, edge_id, source)),
                 ]
             if reverse:
-                return [(target, edge.id.value, source)]
-            return [(source, edge.id.value, target)]
+                return [_EdgeTuple((target, edge_id, source))]
+            return [_EdgeTuple((source, edge_id, target))]
 
         labels = query_edge.types
         if labels and (isinstance(self.graph, IndexedLogicalGraph) or len(labels) == 1):
@@ -150,38 +186,36 @@ class ExpandEmbeddings(PhysicalOperator):
         ]
 
         def initial_item(embedding):
-            """(embedding, path, end, seen-vertices, seen-edges)."""
-            vertex_ids = set()
-            edge_ids = set()
-            if vertex_iso or edge_iso:
-                for reader in base_vertex_readers:
-                    vertex_ids.add(reader(embedding))
-                for reader in base_edge_readers:
-                    edge_ids.add(reader(embedding))
+            """The zero-hop path; base ids only under isomorphism."""
+            vertex_ids = edge_ids = _NO_IDS
+            if vertex_iso:
+                vertex_ids = {reader(embedding) for reader in base_vertex_readers}
                 for column in base_path_columns:
-                    for index, value in enumerate(embedding.raw_path_at(column)):
-                        (edge_ids if index % 2 == 0 else vertex_ids).add(value)
+                    vertex_ids.update(embedding.raw_path_at(column)[1::2])
+                vertex_ids = frozenset(vertex_ids)
+            if edge_iso:
+                edge_ids = {reader(embedding) for reader in base_edge_readers}
+                for column in base_path_columns:
+                    edge_ids.update(embedding.raw_path_at(column)[::2])
+                edge_ids = frozenset(edge_ids)
             start = start_reader(embedding)
-            return (embedding, (), start, frozenset(vertex_ids), frozenset(edge_ids))
+            return _FrontierItem((embedding, (), start, vertex_ids, edge_ids))
 
         def extend(item, edge_tuple):
             embedding, path, end, vertex_ids, edge_ids = item
             _, edge_id, new_end = edge_tuple
-            if edge_iso and edge_id in edge_ids:
+            if edge_iso and (edge_id in edge_ids or edge_id in path[::2]):
                 return []
-            if path:
-                # the previous end becomes a path-internal vertex
-                if vertex_iso and end in vertex_ids:
-                    return []
-                new_path = path + (end, edge_id)
-                new_vertex_ids = (
-                    frozenset(vertex_ids | {end}) if vertex_iso else vertex_ids
-                )
-            else:
-                new_path = (edge_id,)
-                new_vertex_ids = vertex_ids
-            new_edge_ids = frozenset(edge_ids | {edge_id}) if edge_iso else edge_ids
-            return [(embedding, new_path, new_end, new_vertex_ids, new_edge_ids)]
+            if not path:
+                return [_FrontierItem(
+                    (embedding, (edge_id,), new_end, vertex_ids, edge_ids)
+                )]
+            # the previous end becomes a path-internal vertex
+            if vertex_iso and (end in vertex_ids or end in path[1::2]):
+                return []
+            return [_FrontierItem(
+                (embedding, path + (end, edge_id), new_end, vertex_ids, edge_ids)
+            )]
 
         def emit_result(item):
             """Attach the path (and end binding) to the input embedding."""
@@ -191,10 +225,8 @@ class ExpandEmbeddings(PhysicalOperator):
                 if end != end_reader(embedding):
                     return []
                 return [embedding.append_path(via)]
-            if vertex_iso and end in vertex_ids:
+            if vertex_iso and (end in vertex_ids or end in path[1::2]):
                 return []
-            from repro.epgm import GradoopId
-
             return [embedding.append_path(via).append_id(GradoopId(end))]
 
         def step(working, iteration):
@@ -218,7 +250,7 @@ class ExpandEmbeddings(PhysicalOperator):
         # plan re-bound with new $parameters re-expands from the *current*
         # frontier instead of replaying the first execution's paths
         result = environment.iterate(
-            frontier, step, max_iterations=upper,
+            frontier, step, max_iterations=upper, static=(edges,),
             name="ExpandEmbeddings:iterate",
         )
         if lower == 0:

@@ -1,7 +1,5 @@
 """Plan/result caching: LRU bounds, eviction, stats-version invalidation."""
 
-import pytest
-
 from repro.cache import LRUCache
 from repro.engine import CypherRunner
 from repro.server import ResultCache, prepared_cache_key, result_cache_key
